@@ -1,54 +1,27 @@
 PYTHON ?= python
 
-.PHONY: test verify bench bench-workloads bench-sweep bench-storage bench-llm bench-shard bench-schedule profile report clean-cache
+.PHONY: test verify bench profile report clean-cache
 
 # Fast path: just the unit suite.
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Tier-1 gate: unit suite + a 2-point parallel smoke sweep + a
-# fault-scenario replay check, with the run cache isolated in a temp
-# directory (see tools/ci.sh).
+# Tier-1 gate: unit suite + the benchmark's own tests + smoke sweeps
+# and replay checks, with the run cache isolated in a temp directory
+# (see tools/ci.sh).
 verify:
 	sh tools/ci.sh
 
-# Engine hot-path microbenchmarks plus the end-to-end workload bench
-# (see BENCH_engine.json / BENCH_workloads.json for recorded numbers).
+# Quick pass of the repo benchmark (all four workloads, one round;
+# see bench/README.md) plus the engine microbenchmark.
 bench:
+	$(PYTHON) -m bench run --quick
 	PYTHONPATH=src $(PYTHON) tools/bench_engine.py --quick
-	PYTHONPATH=src $(PYTHON) tools/bench_workloads.py --smoke
-	PYTHONPATH=src $(PYTHON) tools/bench_storage.py --smoke
-	PYTHONPATH=src $(PYTHON) tools/bench_llm.py --smoke
 
-# Full end-to-end workload wall-clock bench (writes BENCH_workloads.json).
-bench-workloads:
-	PYTHONPATH=src $(PYTHON) tools/bench_workloads.py
-
-# End-to-end sweep benchmark (cold vs warm cache, serial vs pooled).
-bench-sweep:
-	PYTHONPATH=src $(PYTHON) tools/bench_sweep.py
-
-# Storage-subsystem microbenchmarks (writes BENCH_storage.json).
-bench-storage:
-	PYTHONPATH=src $(PYTHON) tools/bench_storage.py
-
-# LLM token-serving microbenchmarks: tokens/s and TTFT across the
-# catalog mixes (writes BENCH_llm.json).
-bench-llm:
-	PYTHONPATH=src $(PYTHON) tools/bench_llm.py
-
-# Intra-run shard scaling curve (writes BENCH_shard.json).
-bench-shard:
-	PYTHONPATH=src $(PYTHON) tools/bench_shard.py
-
-# FIFO vs LPT+stealing makespan on an imbalanced sweep, plus the
-# auto-shard plan demo (writes BENCH_schedule.json).
-bench-schedule:
-	PYTHONPATH=src $(PYTHON) tools/bench_schedule.py
-
-# Reproduce the cProfile that motivated the workload-model fast path.
+# Per-layer profile of the suite workload; its traced run is written
+# to .bench_work/trace/suite.trace.json (Chrome trace events, Perfetto).
 profile:
-	PYTHONPATH=src $(PYTHON) tools/bench_workloads.py --profile taobench
+	$(PYTHON) -m bench run --workload suite --trace .bench_work/trace
 
 report:
 	PYTHONPATH=src $(PYTHON) tools/generate_report.py

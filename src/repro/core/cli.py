@@ -175,9 +175,6 @@ def _suite_executor(args: argparse.Namespace) -> SweepExecutor:
         max_workers=args.parallel,
         cache=cache,
         use_cache=use_cache,
-        warm_pool=args.warm_pool,
-        schedule=args.schedule,
-        auto_shard=args.auto_shard,
     )
 
 
@@ -278,12 +275,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 f"{stats.respawned} respawned, {stats.steals} stolen, "
                 f"{stats.bytes_shipped / 1024:.1f} KiB shipped"
             )
-        if stats.auto_sharded:
-            expanded = ", ".join(
-                f"{row['workload']}→{row['shards']}"
-                for row in stats.auto_shard_plan
-            )
-            print(f"auto-shard plan: {expanded}")
     if args.json:
         payload: Dict[str, object]
         if len(reports) == 1:
@@ -443,36 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for the sweep (1 = in-process)",
-    )
-    p_suite.add_argument(
-        "--warm-pool",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="use the persistent warm worker pool for parallel sweeps "
-        "(default: on, or DCPERF_WARM_POOL; --no-warm-pool forces a "
-        "cold per-sweep pool)",
+        help="worker processes for the sweep (1 = in-process, more = "
+        "the persistent warm worker pool)",
     )
     p_suite.add_argument(
         "--progress",
         action="store_true",
         help="stream each finished point to stderr as the sweep runs "
         "(done/total, plus a cost-ledger ETA once the ledger is warm)",
-    )
-    p_suite.add_argument(
-        "--schedule",
-        choices=["lpt", "fifo"],
-        default=None,
-        help="dispatch policy: lpt (default) runs the longest-predicted "
-        "points first for minimum makespan, fifo is historical spec "
-        "order; reports are byte-identical either way",
-    )
-    p_suite.add_argument(
-        "--auto-shard",
-        action="store_true",
-        help="expand predicted straggler points into shards=N before "
-        "dispatch (deterministic plan from the cost ledger snapshot "
-        "and worker count; the plan is printed and recorded)",
     )
     p_suite.add_argument(
         "--no-cache",

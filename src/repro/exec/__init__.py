@@ -12,17 +12,19 @@ package makes every sweep in the repo parallel and memoized:
   run fingerprint (which covers the model parameters and the package
   source, so any edit invalidates stale entries).
 * :class:`~repro.exec.executor.SweepExecutor` — expands, deduplicates,
-  fans points out over a process pool, and merges results back in spec
-  order so parallel output is identical to serial.
+  runs points in-process or on the warm pool, and merges results back
+  in spec order so parallel output is identical to serial.
 * :class:`~repro.exec.workerpool.WarmPool` — a process-global pool of
-  persistent, fingerprint-keyed worker processes with a shared-memory
-  binary-codec result channel; repeated sweeps reuse warm workers
-  instead of cold-starting a pool per sweep.
+  persistent, fingerprint-keyed worker processes that send binary-
+  encoded results back over their pipes; repeated sweeps reuse warm
+  workers.
 * :mod:`repro.exec.schedule` — cost-model-driven scheduling: a
   persistent :class:`~repro.exec.schedule.CostLedger` of measured
-  per-point wall times feeds longest-predicted-first dispatch,
-  queue-aware stealing, and deterministic straggler auto-sharding, so
-  the makespan of an imbalanced sweep is optimized, not accidental.
+  per-point wall times feeds longest-predicted-first dispatch and
+  queue-aware stealing, so the makespan of an imbalanced sweep is
+  optimized, not accidental.
+* :mod:`repro.exec.shard` — splits one ``shards=N`` run into N shard
+  environments and merges their reports into one.
 """
 
 from repro.exec.cache import RunCache, cache_from_env, default_cache_dir
@@ -32,12 +34,7 @@ from repro.exec.executor import (
     auto_workers,
     execute_point,
 )
-from repro.exec.schedule import (
-    CostLedger,
-    ledger_for_cache,
-    order_lpt,
-    plan_auto_shards,
-)
+from repro.exec.schedule import CostLedger, ledger_for_cache, order_lpt
 from repro.exec.serialize import (
     report_from_bytes,
     report_from_dict,
@@ -52,12 +49,7 @@ from repro.exec.spec import (
     pool_key,
     run_fingerprint,
 )
-from repro.exec.workerpool import (
-    WarmPool,
-    get_warm_pool,
-    shutdown_warm_pool,
-    warm_pool_enabled,
-)
+from repro.exec.workerpool import WarmPool, get_warm_pool, shutdown_warm_pool
 
 __all__ = [
     "CostLedger",
@@ -75,7 +67,6 @@ __all__ = [
     "get_warm_pool",
     "ledger_for_cache",
     "order_lpt",
-    "plan_auto_shards",
     "model_fingerprint",
     "pool_key",
     "report_from_bytes",
@@ -84,5 +75,4 @@ __all__ = [
     "report_to_dict",
     "run_fingerprint",
     "shutdown_warm_pool",
-    "warm_pool_enabled",
 ]

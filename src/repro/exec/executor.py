@@ -14,13 +14,14 @@ calibration tools.  It guarantees:
   are loaded instead of re-run; fingerprints cover model parameters
   and package source, so edits invalidate automatically.
 
-``max_workers=1`` executes in-process (no pool, plain stack traces —
-the debuggable path).  Anything higher fans out over the process-global
+There are two execution paths.  ``max_workers=1`` executes
+in-process (no pool, plain stack traces — the debuggable path).
+Anything higher fans out over the process-global
 :class:`~repro.exec.workerpool.WarmPool` of persistent workers —
-repeated sweeps reuse already-warm processes and results stream back
-through a shared-memory binary-codec channel.  ``warm_pool=False`` (or
-``DCPERF_WARM_POOL=0``) falls back to a cold
-:class:`concurrent.futures.ProcessPoolExecutor` per sweep.
+repeated sweeps reuse already-warm processes, and each result comes
+back binary-encoded over its worker's pipe.  Either way pending points
+run longest-predicted-first (:mod:`repro.exec.schedule`).  A pooled
+point that times out or loses its worker is re-run in-process.
 
 Completions stream: pass ``on_point`` to :meth:`SweepExecutor.run` /
 :meth:`~SweepExecutor.run_sweep` to observe each unique point's report
@@ -36,12 +37,11 @@ use the whole pool, not just one core.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -53,13 +53,7 @@ from typing import (
 )
 
 from repro.exec.cache import RunCache, cache_from_env
-from repro.exec.schedule import (
-    CostLedger,
-    describe_plan,
-    ledger_for_cache,
-    order_lpt,
-    plan_auto_shards,
-)
+from repro.exec.schedule import CostLedger, ledger_for_cache, order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import RunPoint, run_fingerprint
 
@@ -68,11 +62,6 @@ if TYPE_CHECKING:  # deferred: repro.core's __init__ imports repro.exec
 
 #: Incremental completion callback: ``(point, report)`` per unique point.
 OnPoint = Callable[[RunPoint, "BenchmarkReport"], None]
-
-#: Dispatch policy: pick the env default, or force one per executor.
-SCHEDULE_ENV = "DCPERF_SCHEDULE"
-SCHEDULE_LPT = "lpt"
-SCHEDULE_FIFO = "fifo"
 
 #: cgroup v2 CPU quota file (bind-mounted read-only in containers).
 _CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
@@ -141,32 +130,13 @@ def _run_point_payload(point: RunPoint) -> Dict[str, object]:
     return report_to_dict(report)
 
 
-def _pool_worker(payload: Dict[str, object]) -> Dict[str, object]:
-    """Top-level (picklable) worker: point dict in, report dict out."""
-    return _run_point_payload(RunPoint.from_dict(payload))
-
-
-def _pool_worker_chunk(
-    payloads: List[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """Chunked worker: several points per task to amortize pool IPC.
-
-    A suite sweep is dozens of sub-second points; submitting each as
-    its own task spends a measurable fraction of the sweep on pickling,
-    queue round-trips, and future bookkeeping.  One task per chunk cuts
-    that overhead by the chunk length while the chunks themselves still
-    load-balance across workers.
-    """
-    return [_run_point_payload(RunPoint.from_dict(p)) for p in payloads]
-
-
 def execute_point(point: RunPoint) -> BenchmarkReport:
     """Run one point in-process, normalized through the codec.
 
     A ``shards=N`` parent point runs its N shard environments serially
     in-process and merges them — the same expansion and merge the
-    executor's pooled paths use, so the report is byte-identical to a
-    pooled run of the same point.
+    executor uses, so the report is byte-identical to a pooled run of
+    the same point.
     """
     if point.shards > 1 and point.shard_index < 0:
         from repro.exec.shard import expand_shards, merge_shard_payloads
@@ -194,10 +164,10 @@ class SweepStats:
     recovered: int = 0
     #: Points whose pooled execution exceeded the per-point timeout.
     timeouts: int = 0
-    #: Which execution path ran: ``"inproc"`` (no pool), ``"cold"``
-    #: (fresh ProcessPoolExecutor), or ``"warm"`` (persistent pool).
+    #: Which execution path ran: ``"inproc"`` (no pool) or ``"warm"``
+    #: (persistent pool).
     pool_mode: str = "inproc"
-    #: Warm-pool accounting for this sweep (zero on other paths).
+    #: Warm-pool accounting for this sweep (zero in-process).
     spawned: int = 0
     reused: int = 0
     respawned: int = 0
@@ -208,39 +178,13 @@ class SweepStats:
     #: Parent points whose reports were merged from shard results.
     merged_runs: int = 0
     #: Points a worker took without affinity while an affine worker was
-    #: busy (cost-aware dispatch only): stealing beat idling.
+    #: busy: stealing beat idling.
     steals: int = 0
     #: Wall times recorded into the runtime cost ledger this sweep.
     ledger_recorded: int = 0
-    #: Points expanded by the deterministic auto-shard planner, plus
-    #: the full replayable plan (one row per expanded point, in spec
-    #: order, carrying the predicted cost and worker count that chose
-    #: its shard fan-out).
-    auto_sharded: int = 0
-    auto_shard_plan: List[Dict[str, object]] = field(default_factory=list)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "total_points": self.total_points,
-            "unique_points": self.unique_points,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "workers": self.workers,
-            "elapsed_seconds": self.elapsed_seconds,
-            "recovered": self.recovered,
-            "timeouts": self.timeouts,
-            "pool_mode": self.pool_mode,
-            "spawned": self.spawned,
-            "reused": self.reused,
-            "respawned": self.respawned,
-            "bytes_shipped": self.bytes_shipped,
-            "shard_points": self.shard_points,
-            "merged_runs": self.merged_runs,
-            "steals": self.steals,
-            "ledger_recorded": self.ledger_recorded,
-            "auto_sharded": self.auto_sharded,
-            "auto_shard_plan": [dict(row) for row in self.auto_shard_plan],
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -261,9 +205,6 @@ class SweepExecutor:
         cache: Optional[RunCache] = None,
         use_cache: bool = True,
         point_timeout_s: Optional[float] = None,
-        warm_pool: Optional[bool] = None,
-        schedule: Optional[str] = None,
-        auto_shard: bool = False,
         ledger: Optional[CostLedger] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -272,37 +213,11 @@ class SweepExecutor:
             raise ValueError(
                 f"point_timeout_s must be positive, got {point_timeout_s}"
             )
-        if schedule is None:
-            schedule = (
-                os.environ.get(SCHEDULE_ENV, "").strip().lower()
-                or SCHEDULE_LPT
-            )
-        if schedule not in (SCHEDULE_LPT, SCHEDULE_FIFO):
-            raise ValueError(
-                f"schedule must be {SCHEDULE_LPT!r} or {SCHEDULE_FIFO!r}, "
-                f"got {schedule!r}"
-            )
-        #: Dispatch policy: ``"lpt"`` (default) orders pending work
-        #: longest-predicted-first with queue-aware stealing; ``"fifo"``
-        #: is the historical spec-order dispatch.  Merged results are
-        #: byte-identical either way — only completion order moves.
-        self.schedule = schedule
-        #: Expand predicted stragglers into ``shards=N`` sub-points
-        #: before dispatch (deterministic plan; see
-        #: :func:`repro.exec.schedule.plan_auto_shards`).
-        self.auto_shard = auto_shard
         self.max_workers = max_workers or auto_workers()
-        #: Wall-clock budget per pooled point; a straggler past this is
-        #: abandoned and re-run in-process.  ``None`` = no timeout.
-        #: On the warm path the straggler's worker is killed and
-        #: respawned, so no orphan process outlives the deadline.
+        #: Wall-clock budget per pooled point; a straggler past this has
+        #: its worker killed and respawned, and is re-run in-process.
+        #: ``None`` = no timeout.
         self.point_timeout_s = point_timeout_s
-        #: ``None`` defers to ``DCPERF_WARM_POOL`` (default: enabled).
-        if warm_pool is None:
-            from repro.exec.workerpool import warm_pool_enabled
-
-            warm_pool = warm_pool_enabled()
-        self.warm_pool = warm_pool
         #: ``None`` disables persistence; by default the environment
         #: decides (``DCPERF_CACHE``/``DCPERF_CACHE_DIR``).
         self.cache = cache if cache is not None else (
@@ -338,25 +253,6 @@ class SweepExecutor:
         started = time.monotonic()
         points = list(points)
         ledger = self.ledger.load()
-
-        # Deterministic straggler auto-sharding happens *before* any
-        # fingerprinting or cache probing: the plan is a pure function
-        # of the spec points, the worker count, and the ledger snapshot
-        # loaded above — never of live timing or cache state — so the
-        # same inputs always shard the same way (and the recorded plan
-        # replays a run exactly).
-        plan_record: List[Dict[str, object]] = []
-        if self.auto_shard:
-            plan = plan_auto_shards(points, self.max_workers, ledger.predict)
-            if plan:
-                plan_record = describe_plan(
-                    plan, points, ledger.predict, self.max_workers
-                )
-                points = [
-                    dataclasses.replace(p, shards=plan[p]) if p in plan else p
-                    for p in points
-                ]
-
         fingerprints = [run_fingerprint(p) for p in points]
         self._progress = {
             "done": 0,
@@ -418,8 +314,6 @@ class SweepExecutor:
             cache_hits=cache_hits,
             executed=len(todo),
             shard_points=shard_point_count,
-            auto_sharded=len(plan_record),
-            auto_shard_plan=plan_record,
         )
 
         def predict_fp(fp: str, point: RunPoint) -> float:
@@ -431,11 +325,10 @@ class SweepExecutor:
 
         if todo:
             workers = min(self.max_workers, len(todo))
-            if self.schedule == SCHEDULE_LPT and len(todo) > 1:
-                # Longest-predicted-first dispatch.  Results are keyed
-                # by fingerprint and merged in spec order below, so
-                # only completion order (and the makespan) moves.
-                todo = order_lpt(todo, predict_fp)
+            # Longest-predicted-first dispatch.  Results are keyed by
+            # fingerprint and merged in spec order below, so only
+            # completion order (and the makespan) moves.
+            todo = order_lpt(todo, predict_fp)
             self._predicted = {}
             ledger_backed = False
             for fp, point in todo:
@@ -447,56 +340,31 @@ class SweepExecutor:
                 workers=workers,
                 ledger_backed=ledger_backed,
             )
-            if workers == 1:
-                stats.workers = 1
-                stats.pool_mode = "inproc"
-                for fp, point in todo:
-                    t0 = time.monotonic()
-                    payload = _run_point_payload(point)
-                    record_cost(fp, point, time.monotonic() - t0)
-                    payloads[fp] = self._finish_point(
-                        fp, point, payload, on_point
-                    )
-            else:
-                if self.warm_pool:
-                    stats.pool_mode = "warm"
-                    pooled, lost, timeouts = self._run_warm(
-                        todo,
-                        workers,
-                        stats,
-                        on_point,
-                        predict=(
-                            predict_fp
-                            if self.schedule == SCHEDULE_LPT
-                            else None
-                        ),
-                        on_timing=record_cost,
-                    )
-                else:
-                    stats.pool_mode = "cold"
-                    pooled, lost, timeouts = self._run_pooled(todo, workers)
-                    stats.workers = self._cold_effective_workers(
-                        len(todo), workers
-                    )
+            inproc = todo
+            if workers > 1:
+                stats.pool_mode = "warm"
+                pooled, inproc, stats.timeouts = self._run_warm(
+                    todo,
+                    workers,
+                    stats,
+                    on_point,
+                    predict=predict_fp,
+                    on_timing=record_cost,
+                )
                 payloads.update(pooled)
-                stats.timeouts = timeouts
                 # Points lost to a worker crash or to the per-point
                 # timeout are re-run in-process — the debuggable path —
                 # so one bad point cannot sink a whole sweep.
-                stats.recovered = len(lost)
-                for fp, point in lost:
-                    t0 = time.monotonic()
-                    payload = _run_point_payload(point)
-                    record_cost(fp, point, time.monotonic() - t0)
-                    payloads[fp] = self._finish_point(
-                        fp, point, payload, on_point
-                    )
-        else:
-            stats.workers = 1
+                stats.recovered = len(inproc)
+            for fp, point in inproc:
+                t0 = time.monotonic()
+                payload = _run_point_payload(point)
+                record_cost(fp, point, time.monotonic() - t0)
+                payloads[fp] = self._finish_point(fp, point, payload, on_point)
 
         # Merge each sharded parent from its (now complete) shard
         # payloads.  The merge is a pure function of the shard results
-        # in shard order, so every pool mode produces the same bytes;
+        # in shard order, so both paths produce the same bytes;
         # the parent payload is cached and streamed like any point.
         for parent_fp, parent_point, sub_fps in shard_jobs:
             merged = merge_shard_payloads(
@@ -525,8 +393,8 @@ class SweepExecutor:
         ``eta_seconds`` is the predicted wall time still owed — the
         sum of the pending points' predicted costs divided by the
         sweep's parallelism — and is ``None`` while the ledger is cold
-        (every prediction seed-table-only): a plain count is honest
-        then, a made-up ETA is not.
+        (every prediction a point's simulated seconds): a plain count
+        is honest then, a made-up ETA is not.
         """
         if self._progress is None:
             return None
@@ -585,17 +453,17 @@ class SweepExecutor:
         workers: int,
         stats: SweepStats,
         on_point: Optional[OnPoint],
-        predict=None,
-        on_timing=None,
+        predict,
+        on_timing,
     ) -> Tuple[Dict[str, Dict[str, object]], List[Tuple[str, RunPoint]], int]:
         """Fan ``todo`` out over the process-global warm pool.
 
         Completions stream back as they finish: each one is cached (and
         surfaced through ``on_point``) before the sweep is over, so a
         killed sweep keeps every finished point and long sweeps render
-        incrementally.  ``predict`` turns on cost-aware dispatch in the
-        pool (band-limited affinity + stealing); ``on_timing`` feeds
-        measured wall times back into the runtime cost ledger.
+        incrementally.  ``predict`` prices points for the pool's
+        cost-band dispatch; ``on_timing`` feeds measured wall times
+        back into the runtime cost ledger.
         """
         from repro.exec.workerpool import get_warm_pool
 
@@ -617,117 +485,3 @@ class SweepExecutor:
         stats.bytes_shipped = run.bytes_shipped
         stats.steals = run.steals
         return completed, lost, timeouts
-
-    @staticmethod
-    def _cold_effective_workers(n_todo: int, workers: int) -> int:
-        """Parallelism the cold path actually achieves.
-
-        The unchunked (timeout) path runs one task per point; the
-        chunked path runs one task per chunk — with fewer chunks than
-        workers, the surplus workers never receive a task.
-        """
-        return min(workers, n_todo)
-
-    def _run_pooled(
-        self, todo: Sequence[Tuple[str, RunPoint]], workers: int
-    ) -> Tuple[Dict[str, Dict[str, object]], List[Tuple[str, RunPoint]], int]:
-        """Fan ``todo`` out over a process pool.
-
-        Returns ``(completed payloads, lost points, timeout count)``.
-        Lost points are those whose worker crashed (the pool breaks) or
-        whose execution exceeded ``point_timeout_s``; the caller re-runs
-        them in-process.  Application-level exceptions from a point
-        still propagate — they would fail in-process too.
-        """
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        if self.point_timeout_s is None:
-            # No per-point deadline to enforce, so points can ride in
-            # chunks — far fewer pool round-trips for the same work.
-            # (A timeout needs one future per point to know *which*
-            # point blew the budget, so that path stays unchunked.)
-            return self._run_pooled_chunks(todo, workers)
-
-        completed: Dict[str, Dict[str, object]] = {}
-        lost: List[Tuple[str, RunPoint]] = []
-        timeouts = 0
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [
-                (fp, point, pool.submit(_pool_worker, point.as_dict()))
-                for fp, point in todo
-            ]
-            broken = False
-            for fp, point, future in futures:
-                if broken:
-                    lost.append((fp, point))
-                    continue
-                try:
-                    payload = future.result(timeout=self.point_timeout_s)
-                except FutureTimeout:
-                    timeouts += 1
-                    future.cancel()
-                    lost.append((fp, point))
-                except BrokenExecutor:
-                    # A worker died (OOM-kill, segfault, hard exit):
-                    # every in-flight future is gone.  Collect the rest
-                    # as lost instead of raising.
-                    broken = True
-                    lost.append((fp, point))
-                else:
-                    completed[fp] = self._finish_point(fp, point, payload)
-        finally:
-            # Never block on a hung or broken pool: cancel what has not
-            # started and let stragglers die with their processes.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return completed, lost, timeouts
-
-    def _run_pooled_chunks(
-        self, todo: Sequence[Tuple[str, RunPoint]], workers: int
-    ) -> Tuple[Dict[str, Dict[str, object]], List[Tuple[str, RunPoint]], int]:
-        """Chunked fan-out: several points per pool task, no deadline.
-
-        Chunks are sized for ~4 tasks per worker — small enough that a
-        slow chunk cannot idle the pool for long, large enough to
-        amortize submission overhead.  Cache writes stay per point (a
-        killed sweep keeps every point of every finished chunk).  A
-        worker crash loses only the chunks not yet collected; the
-        caller re-runs those points in-process.
-        """
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        chunk_size = max(1, -(-len(todo) // (workers * 4)))  # ceil division
-        chunks = [
-            list(todo[i : i + chunk_size])
-            for i in range(0, len(todo), chunk_size)
-        ]
-        completed: Dict[str, Dict[str, object]] = {}
-        lost: List[Tuple[str, RunPoint]] = []
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            futures = [
-                (
-                    chunk,
-                    pool.submit(
-                        _pool_worker_chunk, [p.as_dict() for _, p in chunk]
-                    ),
-                )
-                for chunk in chunks
-            ]
-            broken = False
-            for chunk, future in futures:
-                if broken:
-                    lost.extend(chunk)
-                    continue
-                try:
-                    payloads = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    lost.extend(chunk)
-                else:
-                    for (fp, point), payload in zip(chunk, payloads):
-                        completed[fp] = self._finish_point(fp, point, payload)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return completed, lost, 0

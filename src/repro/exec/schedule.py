@@ -1,75 +1,42 @@
-"""Cost-model-driven sweep scheduling: ledger, LPT order, auto-shard.
+"""Cost-model-driven sweep scheduling: ledger and LPT order.
 
-The sweep executor used to dispatch points in spec order, which is
-FIFO from the pool's point of view: a long storagebench+faults point
-that happens to sit last in the grid starts only after every short
-point has drained, and the rest of the pool idles while one worker
-finishes it.  Makespan was whatever spec order produced.  This module
-makes it a *measured, optimized* quantity:
+Spec-order dispatch lets a long point that happens to sit last in the
+grid start only after every short point has drained, while the rest of
+the pool idles.  This module orders a sweep by predicted cost instead:
 
 * :class:`CostLedger` — a persistent sidecar (next to the run cache)
   of measured per-point wall times, keyed by run fingerprint with
   per-``(workload, duration, shards, faults)`` class aggregates.  A
-  static seed table (:data:`SEED_COST_RATES`, seconds of wall clock
-  per simulated second, calibrated on the reference container) covers
-  cold starts, so even the very first sweep knows that an aibench
-  point dwarfs a djangobench point of the same window.
+  point the ledger has never seen is priced at its simulated seconds
+  (:func:`seed_cost`), so a cold ledger keeps points with equal
+  windows in spec order.
 * :func:`order_lpt` — longest-predicted-first ordering of the pending
   work (classic LPT list scheduling).  Only *completion order* moves:
   results are keyed by fingerprint and merged back in spec order, so
-  reports stay byte-identical to FIFO dispatch.
-* :func:`plan_auto_shards` — deterministic straggler expansion: a
-  point whose predicted cost exceeds the mean per-worker load of its
-  sweep is split into ``shards=N`` sub-points *before* dispatch, with
-  N a pure function of the predicted costs and the worker count —
-  never of live timing — so the chosen plan (recorded in
-  ``SweepStats``) replays exactly from its inputs.
+  reports stay byte-identical to an in-process run.
 
 Queue-aware stealing lives in :meth:`WarmPool.run_points
-<repro.exec.workerpool.WarmPool.run_points>`: under a cost model the
-pool keeps the affinity tiers (exact point, then workload) as
-tiebreakers *within a predicted-cost band* of the queue head, and an
-idle worker whose only pending work is affinity-bound to a busy
-worker steals it rather than idling (counted in ``steals``).
+<repro.exec.workerpool.WarmPool.run_points>`: the pool keeps the
+affinity tiers (exact point, then workload) as tiebreakers *within a
+predicted-cost band* of the queue head, and an idle worker whose only
+pending work is affinity-bound to a busy worker steals it rather than
+idling (counted in ``steals``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.cache import LEDGER_FILENAME
-from repro.exec.spec import RunPoint, cost_class, dedupe
+from repro.exec.spec import RunPoint, cost_class
 
 #: Predictor signature used by the executor and warm pool:
 #: ``(fingerprint, point) -> predicted wall seconds``.
 Predictor = Callable[[str, RunPoint], float]
-
-#: Seed cost table: seconds of wall clock per simulated second for a
-#: warm worker, measured on the reference container (see
-#: ``tools/bench_schedule.py``).  Only the *relative* magnitudes
-#: matter — they make cold-ledger LPT order the imbalance correctly.
-SEED_COST_RATES: Dict[str, float] = {
-    "aibench": 0.75,
-    "taobench": 0.18,
-    "storagebench": 0.17,
-    "feedsim": 0.03,
-    "mediawiki": 0.03,
-    "djangobench": 0.02,
-    "sparkbench": 0.01,
-    "videotranscode": 0.01,
-}
-
-#: Fallback rate for workloads the seed table has never seen.
-DEFAULT_COST_RATE = 0.10
-
-#: A fault scenario adds injection + control-plane work on top of the
-#: clean run; the seed model inflates faulted points by this factor.
-FAULT_COST_FACTOR = 1.25
 
 #: Affinity tiebreak band for cost-aware dispatch: a worker may prefer
 #: an affine point over the queue head only while the affine point's
@@ -89,11 +56,15 @@ SOURCE_SEED = "seed"
 
 
 def seed_cost(point: RunPoint) -> float:
-    """Static cold-start estimate of one point's wall seconds."""
-    rate = SEED_COST_RATES.get(point.benchmark, DEFAULT_COST_RATE)
-    seconds = rate * (point.warmup_seconds + point.measure_seconds)
-    if point.faults:
-        seconds *= FAULT_COST_FACTOR
+    """Cold-start estimate of one point's cost: its simulated seconds.
+
+    Warmup plus measure, split evenly across a shard sub-point's
+    siblings.  Wall time per simulated second differs between
+    workloads and between a process's first and later runs of one, so
+    no fixed rate table predicts it; the ledger learns it from the
+    first sweep instead.
+    """
+    seconds = point.warmup_seconds + point.measure_seconds
     if point.shards > 1 and point.shard_index >= 0:
         seconds /= point.shards
     return seconds
@@ -257,8 +228,8 @@ class CostLedger:
         """Predicted wall seconds plus where the number came from.
 
         Exact fingerprint history beats the class aggregate beats the
-        static seed table — the same specificity ladder the warm
-        pool's affinity tiers use.
+        point's simulated seconds — the same specificity ladder the
+        warm pool's affinity tiers use.
         """
         self.load()
         if fingerprint is not None:
@@ -317,73 +288,3 @@ def order_lpt(
     indexed = list(enumerate(todo))
     indexed.sort(key=lambda item: (-predict(item[1][0], item[1][1]), item[0]))
     return [entry for _, entry in indexed]
-
-
-def plan_auto_shards(
-    points: Sequence[RunPoint],
-    workers: int,
-    predict: Callable[[RunPoint], float],
-    max_shards: Optional[int] = None,
-) -> Dict[RunPoint, int]:
-    """Deterministic straggler expansion plan: point -> shard count.
-
-    A point whose predicted cost exceeds the mean per-worker load of
-    the (deduplicated) sweep would cap the makespan all by itself; it
-    is split into ``ceil(cost / mean_load)`` shards, clamped to the
-    worker count, so its pieces pack like any other point.  The plan
-    is a **pure function** of the predicted costs and ``workers`` —
-    live timing never feeds in — so the same specs against the same
-    ledger snapshot always produce the same plan, and the recorded
-    plan (``SweepStats.auto_shard_plan``) replays a run exactly.
-
-    Only plain points (``shards == 1``, parent frame) are eligible:
-    an explicit ``shards=N`` is the user's plan already.
-    """
-    unique = dedupe(points)
-    if workers < 2 or not unique:
-        return {}
-    cap = min(workers, max_shards) if max_shards else workers
-    costs = {point: predict(point) for point in unique}
-    mean_load = sum(costs.values()) / workers
-    if mean_load <= 0:
-        return {}
-    from repro.exec.shard import shardable
-
-    plan: Dict[RunPoint, int] = {}
-    for point in unique:
-        if not shardable(point):
-            continue
-        cost = costs[point]
-        if cost <= mean_load:
-            continue
-        # ceil(cost / mean_load), with an epsilon so float noise at an
-        # exact multiple cannot flip the plan between equal inputs.
-        shards = min(cap, int(math.ceil(cost / mean_load - 1e-9)))
-        if shards >= 2:
-            plan[point] = shards
-    return plan
-
-
-def describe_plan(
-    plan: Dict[RunPoint, int],
-    points: Sequence[RunPoint],
-    predict: Callable[[RunPoint], float],
-    workers: int,
-) -> List[Dict[str, object]]:
-    """Replayable record of an auto-shard plan, in spec order."""
-    rows: List[Dict[str, object]] = []
-    for point in dedupe(points):
-        if point not in plan:
-            continue
-        rows.append(
-            {
-                "workload": point.workload_name,
-                "sku": point.sku,
-                "seed": point.seed,
-                "faults": point.faults,
-                "predicted_s": round(predict(point), 6),
-                "shards": plan[point],
-                "workers": workers,
-            }
-        )
-    return rows

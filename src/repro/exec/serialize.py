@@ -13,15 +13,15 @@ On top of the dict form sits a compact binary codec
 varint-framed encoding of the same payload tree, with floats carried
 as raw IEEE-754 doubles (exact by construction, including negative
 zero and subnormals).  The warm worker pool ships results through it
-over shared memory instead of pickling nested dicts through a pool
-pipe — roughly a third the bytes of the JSON text for a typical
-report, with no parsing ambiguity.
+over each worker's pipe instead of pickling nested dicts — roughly a
+third the bytes of the JSON text for a typical report, with no
+parsing ambiguity.
 
 Shard sub-run payloads additionally carry the recorder's mergeable
 state (sorted samples or sparse histogram buckets) nested in
 ``result.extra`` — both codecs transport it losslessly, which is what
-makes the shard merge byte-identical across the in-process, cold-pool,
-and warm-pool execution paths.
+makes the shard merge byte-identical across the in-process and
+warm-pool execution paths.
 """
 
 from __future__ import annotations

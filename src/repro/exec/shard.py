@@ -4,8 +4,8 @@ A :class:`~repro.exec.spec.RunPoint` with ``shards=N`` is executed as N
 statistically-independent *shard environments*: each sub-point carries
 ``shard_index in [0, N)``, a seed derived from the run seed
 (:func:`repro.exec.spec.shard_seed`), and ``1/N`` of the offered rate.
-Sub-points are ordinary run points — they ride the same in-process,
-cold-pool, and warm-pool machinery as any sweep point, carry their own
+Sub-points are ordinary run points — they ride the same in-process
+and warm-pool machinery as any sweep point, carry their own
 fingerprints, and cache independently.
 
 The merge (:func:`merge_shard_payloads`) is the load-bearing half:
@@ -25,8 +25,8 @@ The merge (:func:`merge_shard_payloads`) is the load-bearing half:
 
 The merge is a pure function of the shard payloads in shard order, and
 shard payloads are transported through the lossless report codecs, so a
-fixed ``shards=N`` run is byte-identical across the in-process, cold
-pool, and warm pool execution paths.
+fixed ``shards=N`` run is byte-identical across the in-process and
+warm-pool execution paths.
 """
 
 from __future__ import annotations
@@ -103,16 +103,6 @@ _FIRST_KEYS = frozenset(
         "llm_kv_bytes_per_token",
     }
 )
-
-
-def shardable(point: RunPoint) -> bool:
-    """Whether auto-sharding may expand this point.
-
-    Only a plain parent point qualifies: an explicit ``shards=N`` is
-    the user's fan-out plan already (and a shard sub-point is internal
-    framing that must never be re-split).
-    """
-    return point.shards == 1 and point.shard_index == -1
 
 
 def expand_shards(point: RunPoint) -> List[RunPoint]:

@@ -1,45 +1,35 @@
-"""Warm worker pool with shared-memory result transport.
+"""Warm worker pool: persistent, fingerprint-keyed sweep workers.
 
-Every sweep used to build a fresh ``ProcessPoolExecutor`` per
-``run_sweep`` call: each worker paid process startup plus the
-per-process warm-setup of every workload model it touched, per sweep.
-This module keeps a **process-global pool of persistent workers**
-(:class:`WarmPool`) alive across sweeps instead — the ModelOps
-warm-isolated-subprocess-pool shape — so repeated sweeps reuse
-already-warm processes:
+A process-global pool of persistent workers (:class:`WarmPool`) stays
+alive across sweeps — the ModelOps warm-isolated-subprocess-pool
+shape — so repeated sweeps reuse already-warm processes instead of
+paying process startup plus every workload's per-process warm-setup
+again:
 
 * **Keyed workers** — each worker is tagged with the model/code
   fingerprint it was spawned under (:func:`repro.exec.spec.pool_key`).
   When the source tree or calibrated parameters change, the key
   changes and stale workers self-retire on the next acquire, exactly
   mirroring the run cache's self-invalidation.
-* **Shared-memory results** — workers encode each finished report with
-  the compact binary codec (:func:`repro.exec.serialize.dict_to_bytes`)
-  and push it through a single-producer/single-consumer ring in
-  ``multiprocessing.shared_memory``; only a tiny completion record
-  crosses the pipe.  Where shared memory is unavailable (or disabled
-  via ``DCPERF_WARM_POOL_SHM=0``) the bytes ride the pipe instead —
-  same codec, same results.
-* **Workload-affinity dispatch** — warm-setup memos (generated
+* **Pipe transport** — workers encode each finished report with the
+  compact binary codec (:func:`repro.exec.serialize.dict_to_bytes`)
+  and send the bytes back over their worker pipe; a whole suite sweep
+  ships a few KB per report.
+* **Cost-band dispatch with affinity** — warm-setup memos (generated
   datasets, validation results, pre-warmed cache sets) live per
-  process, so dispatch prefers handing a point to a worker that has
-  run its workload before, falling back to any idle worker.  Repeat
-  sweeps land on already-warm processes even when spec order changes.
+  process, so a worker prefers a pending point it has run before
+  (exact point, then workload), but only within a predicted-cost band
+  of the queue head; past that band it steals the head rather than
+  idle.  With equal predicted costs this is the plain affinity-first
+  scan, so repeat sweeps land on already-warm processes even when
+  spec order changes.
 * **Streaming completions** — results surface through an ``on_result``
   callback as each point finishes, so callers can persist per point
   and render long sweeps incrementally.
 * **Per-worker fault recovery** — a crashed worker (pipe EOF) or a
   straggler past the per-point deadline is killed and respawned
-  *individually*; the rest of the pool keeps draining the sweep.  No
-  stragglers outlive their deadline (the cold pool leaked them until
-  interpreter exit).
-
-Environment knobs::
-
-    DCPERF_WARM_POOL=0         disable the warm pool (cold pools again)
-    DCPERF_WARM_POOL_SIZE=N    cap the number of persistent workers
-    DCPERF_WARM_POOL_SHM=0     force pipe transport (no shared memory)
-    DCPERF_SHM_RING_BYTES=N    per-worker ring capacity (default 1 MiB)
+  *individually*; the rest of the pool keeps draining the sweep, and
+  no straggler outlives its deadline.
 """
 
 from __future__ import annotations
@@ -47,7 +37,6 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -55,134 +44,23 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.exec.schedule import AFFINITY_COST_BAND
 from repro.exec.serialize import dict_from_bytes, dict_to_bytes
 from repro.exec.spec import RunPoint, pool_key
-
-try:  # gate: absent on some minimal builds; the pipe fallback covers it
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - depends on interpreter build
-    _shared_memory = None  # type: ignore[assignment]
 
 #: Test seam shared with the in-process path: a per-point sleep that
 #: (unlike a monkeypatch) can be carried into pool workers.
 FAULT_DELAY_ENV = "DCPERF_FAULT_POINT_DELAY"
-
-WARM_POOL_ENV = "DCPERF_WARM_POOL"
-WARM_POOL_SIZE_ENV = "DCPERF_WARM_POOL_SIZE"
-WARM_POOL_SHM_ENV = "DCPERF_WARM_POOL_SHM"
-RING_BYTES_ENV = "DCPERF_SHM_RING_BYTES"
-
-DEFAULT_RING_BYTES = 1 << 20
 
 _MSG_RUN = "run"
 _MSG_STOP = "stop"
 _MSG_OK = "ok"
 _MSG_ERR = "err"
 
-_VIA_SHM = "shm"
-_VIA_PIPE = "pipe"
-
-
-def _env_flag(name: str, default: bool = True) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if not raw:
-        return default
-    return raw not in ("0", "false", "off", "no")
-
-
-def warm_pool_enabled() -> bool:
-    """Whether sweeps should use the warm pool (default: yes)."""
-    return _env_flag(WARM_POOL_ENV, default=True)
-
 
 def _affinity_key(point: RunPoint) -> Tuple[str, int, int]:
     """Exact-affinity identity of a point for dispatch purposes."""
     return (point.workload_name, point.seed, point.shard_index)
-
-
-def _pool_size_cap() -> Optional[int]:
-    raw = os.environ.get(WARM_POOL_SIZE_ENV, "").strip()
-    if not raw:
-        return None
-    size = int(raw)
-    return size if size >= 1 else None
-
-
-def _ring_bytes() -> int:
-    raw = os.environ.get(RING_BYTES_ENV, "").strip()
-    return max(4096, int(raw)) if raw else DEFAULT_RING_BYTES
-
-
-# -- shared-memory ring --------------------------------------------------------
-#
-# Single producer (the worker), single consumer (the parent).  The
-# first 16 bytes hold two little-endian u64 counters of *total* bytes
-# ever written / read; each side owns exactly one counter, so no lock
-# is needed.  Records are [u32 length][payload] and wrap byte-wise
-# around the data region.  The producer publishes its counter only
-# after the full record is copied, so the consumer never observes a
-# partial record; the consumer is only told to read (via the pipe
-# completion message) after publication, so it never spins.
-
-_HEADER = 16
-_U64 = struct.Struct("<Q")
-_U32 = struct.Struct("<I")
-
-
-class _RingWriter:
-    def __init__(self, buf: memoryview) -> None:
-        self._buf = buf
-        self._cap = len(buf) - _HEADER
-        self._written = _U64.unpack_from(buf, 0)[0]
-
-    def _read_total(self) -> int:
-        return _U64.unpack_from(self._buf, 8)[0]
-
-    def _copy_in(self, data: bytes) -> None:
-        pos = self._written % self._cap
-        first = min(len(data), self._cap - pos)
-        self._buf[_HEADER + pos : _HEADER + pos + first] = data[:first]
-        if first < len(data):
-            self._buf[_HEADER : _HEADER + len(data) - first] = data[first:]
-        self._written += len(data)
-
-    def write(self, data: bytes, wait_s: float = 0.25) -> bool:
-        """Copy one framed record in; ``False`` if it cannot fit."""
-        need = _U32.size + len(data)
-        if need > self._cap:
-            return False
-        deadline = time.monotonic() + wait_s
-        while self._cap - (self._written - self._read_total()) < need:
-            if time.monotonic() > deadline:
-                return False
-            time.sleep(0.0005)
-        self._copy_in(_U32.pack(len(data)))
-        self._copy_in(data)
-        _U64.pack_into(self._buf, 0, self._written)
-        return True
-
-
-class _RingReader:
-    def __init__(self, buf: memoryview) -> None:
-        self._buf = buf
-        self._cap = len(buf) - _HEADER
-        self._read = _U64.unpack_from(buf, 8)[0]
-
-    def _copy_out(self, length: int) -> bytes:
-        pos = self._read % self._cap
-        first = min(length, self._cap - pos)
-        out = bytes(self._buf[_HEADER + pos : _HEADER + pos + first])
-        if first < length:
-            out += bytes(self._buf[_HEADER : _HEADER + length - first])
-        self._read += length
-        return out
-
-    def read(self) -> bytes:
-        """Pop the next record (the completion message guarantees one)."""
-        length = _U32.unpack(self._copy_out(_U32.size))[0]
-        data = self._copy_out(length)
-        _U64.pack_into(self._buf, 8, self._read)
-        return data
 
 
 # -- worker process ------------------------------------------------------------
@@ -215,7 +93,7 @@ def _decode_exc(encoded: Tuple[str, bytes]) -> BaseException:
     )
 
 
-def _worker_main(conn, shm_name: Optional[str]) -> None:
+def _worker_main(conn) -> None:
     """Persistent worker loop: point dicts in, binary reports out.
 
     Top level (picklable) so the pool works under any multiprocessing
@@ -224,14 +102,6 @@ def _worker_main(conn, shm_name: Optional[str]) -> None:
     """
     from repro.exec.executor import _run_point_payload
 
-    ring = None
-    shm = None
-    if shm_name is not None and _shared_memory is not None:
-        try:
-            shm = _shared_memory.SharedMemory(name=shm_name)
-            ring = _RingWriter(shm.buf)
-        except (OSError, ValueError):
-            ring = None
     try:
         while True:
             try:
@@ -254,16 +124,9 @@ def _worker_main(conn, shm_name: Optional[str]) -> None:
             except BaseException as exc:
                 conn.send((_MSG_ERR, task_id, _encode_exc(exc)))
                 continue
-            if ring is not None and ring.write(data):
-                conn.send((_MSG_OK, task_id, len(data), _VIA_SHM))
-            else:
-                # Oversized record or no shared memory: same bytes,
-                # shipped through the pipe instead.
-                conn.send((_MSG_OK, task_id, data, _VIA_PIPE))
+            conn.send((_MSG_OK, task_id, data))
     finally:
         conn.close()
-        if shm is not None:
-            shm.close()
 
 
 # -- parent-side pool ----------------------------------------------------------
@@ -302,9 +165,9 @@ class PoolRunStats:
 
 
 class _Worker:
-    """One persistent worker process plus its transport endpoints."""
+    """One persistent worker process plus its pipe."""
 
-    def __init__(self, key: str, ctx, ring_bytes: int, use_shm: bool) -> None:
+    def __init__(self, key: str, ctx) -> None:
         self.key = key
         #: Workloads this process has already run — its per-process
         #: warm-setup memos (datasets, validation results, warm cache
@@ -316,29 +179,15 @@ class _Worker:
         #: same shard should land on the same worker, not just the same
         #: workload.
         self.seen_exact: set = set()
-        self.shm = None
-        self.reader: Optional[_RingReader] = None
-        shm_name = None
-        if use_shm and _shared_memory is not None:
-            try:
-                self.shm = _shared_memory.SharedMemory(
-                    create=True, size=_HEADER + ring_bytes
-                )
-                self.shm.buf[:_HEADER] = b"\x00" * _HEADER
-                shm_name = self.shm.name
-            except (OSError, ValueError):
-                self.shm = None
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, shm_name),
+            args=(child_conn,),
             name="dcperf-warm-worker",
             daemon=True,
         )
         self.proc.start()
         child_conn.close()
-        if self.shm is not None:
-            self.reader = _RingReader(self.shm.buf)
 
     @property
     def pid(self) -> Optional[int]:
@@ -352,14 +201,6 @@ class _Worker:
             self.conn.close()
         except OSError:
             pass
-        if self.shm is not None:
-            self.reader = None
-            try:
-                self.shm.close()
-                self.shm.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-            self.shm = None
 
     def stop(self, grace_s: float = 1.0) -> None:
         """Cooperative shutdown; escalates to kill after ``grace_s``."""
@@ -386,24 +227,11 @@ class WarmPool:
 
     One pool instance normally serves the whole process (see
     :func:`get_warm_pool`); ``SweepExecutor`` acquires workers from it
-    per sweep instead of constructing a cold ``ProcessPoolExecutor``.
+    per sweep, as many as the sweep's worker count asks for.
     """
 
-    def __init__(
-        self,
-        size: Optional[int] = None,
-        use_shm: Optional[bool] = None,
-        ring_bytes: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        self.size = size if size is not None else _pool_size_cap()
-        self.use_shm = (
-            use_shm
-            if use_shm is not None
-            else _env_flag(WARM_POOL_SHM_ENV, default=True)
-        ) and _shared_memory is not None
-        self.ring_bytes = ring_bytes if ring_bytes is not None else _ring_bytes()
-        self._ctx = get_context(start_method) if start_method else get_context()
+    def __init__(self) -> None:
+        self._ctx = get_context()
         self._workers: List[_Worker] = []
         self._task_seq = 0
         self.closed = False
@@ -418,14 +246,14 @@ class WarmPool:
         return sum(1 for w in self._workers if w.alive())
 
     def close(self) -> None:
-        """Stop every worker and release their shared-memory rings."""
+        """Stop every worker and close their pipes."""
         for worker in self._workers:
             worker.stop()
         self._workers = []
         self.closed = True
 
     def _spawn(self, key: str) -> _Worker:
-        return _Worker(key, self._ctx, self.ring_bytes, self.use_shm)
+        return _Worker(key, self._ctx)
 
     def _respawn(self, worker: _Worker, run: PoolRunStats) -> _Worker:
         """Kill one worker and replace it in place with a fresh one."""
@@ -439,8 +267,6 @@ class WarmPool:
         """``count`` live workers keyed ``key``; stale ones self-retire."""
         if self.closed:
             raise RuntimeError("WarmPool is closed")
-        if self.size is not None:
-            count = max(1, min(count, self.size))
         keep: List[_Worker] = []
         for worker in self._workers:
             if worker.key == key and worker.alive():
@@ -485,17 +311,19 @@ class WarmPool:
         coherent afterwards because mid-task workers are respawned
         before the exception leaves this frame.
 
-        ``predict`` (``(fingerprint, point) -> seconds``) switches
-        dispatch to cost-aware mode: ``todo`` is assumed to arrive
+        Dispatch is cost-aware: ``todo`` is assumed to arrive
         longest-predicted-first (:func:`repro.exec.schedule.order_lpt`)
-        and the affinity tiers only apply *within a predicted-cost
-        band* of the queue head — a worker may grab an affine point in
-        the band, but never defers the head for something far smaller.
-        When the head is another busy worker's affine point, the idle
-        worker steals it instead of idling (counted in ``steals``).
-        Without ``predict``, dispatch is the historical affinity-first
-        FIFO scan.  Either way results are keyed by fingerprint, so
-        completion order never changes the merged output.
+        and ``predict`` (``(fingerprint, point) -> seconds``) prices
+        each point.  A worker prefers a point it has run before (exact
+        point, then workload) only *within a predicted-cost band* of
+        the queue head — it never defers the head for something far
+        smaller.  When the head is another busy worker's affine point,
+        the idle worker steals it instead of idling (counted in
+        ``steals``).  Without ``predict`` every point costs the same,
+        so the band holds the whole queue and dispatch is the plain
+        affinity-first scan.  Either way results are keyed by
+        fingerprint, so completion order never changes the merged
+        output.
 
         ``on_timing`` observes ``(fingerprint, point, wall seconds)``
         per completed point — the feed for the runtime cost ledger.
@@ -511,41 +339,24 @@ class WarmPool:
         )
         pending = deque(todo)
         delay = os.environ.get(FAULT_DELAY_ENV, "")
-        costs: Optional[Dict[str, float]] = (
-            {fp: predict(fp, point) for fp, point in todo}
-            if predict is not None
-            else None
-        )
+        costs: Dict[str, float] = {
+            fp: predict(fp, point) if predict is not None else 0.0
+            for fp, point in todo
+        }
         # worker -> (task_id, fingerprint, point, deadline, started)
         inflight: Dict[
             _Worker, Tuple[int, str, RunPoint, Optional[float], float]
         ] = {}
 
-        def take_fifo(worker: _Worker) -> Tuple[str, RunPoint]:
-            """Historical dispatch: affinity-first scan of the whole
-            queue, falling back to the head — a worker never idles
-            while work is pending."""
-            for index, (fp, point) in enumerate(pending):
-                if _affinity_key(point) in worker.seen_exact:
-                    del pending[index]
-                    return fp, point
-            for index, (fp, point) in enumerate(pending):
-                if point.workload_name in worker.seen:
-                    del pending[index]
-                    return fp, point
-            return pending.popleft()
-
-        def take_lpt(worker: _Worker) -> Tuple[str, RunPoint]:
-            """Cost-aware dispatch: affinity only within the head's
-            predicted-cost band, stealing over idling past it."""
-            from repro.exec.schedule import AFFINITY_COST_BAND
-
-            head_cost = costs.get(pending[0][0], 0.0)
-            floor = head_cost / AFFINITY_COST_BAND
+        def take(worker: _Worker) -> Tuple[str, RunPoint]:
+            """Affinity within the head's predicted-cost band, stealing
+            over idling past it — a worker never idles while work is
+            pending."""
+            floor = costs[pending[0][0]] / AFFINITY_COST_BAND
             exact_index = None
             workload_index = None
             for index, (fp, point) in enumerate(pending):
-                if costs.get(fp, 0.0) < floor:
+                if costs[fp] < floor:
                     # Too small to justify deferring the head: taking
                     # it first would forfeit the LPT makespan bound.
                     continue
@@ -573,11 +384,9 @@ class WarmPool:
                 run.steals += 1
             return fp, point
 
-        take_for = take_fifo if costs is None else take_lpt
-
         def dispatch(worker: _Worker) -> None:
             while pending:
-                fp, point = take_for(worker)
+                fp, point = take(worker)
                 self._task_seq += 1
                 task_id = self._task_seq
                 try:
@@ -640,14 +449,9 @@ class WarmPool:
                     if kind == _MSG_ERR:
                         inflight.pop(worker)
                         raise _decode_exc(message[2])
-                    _, done_id, body, transport = message
-                    if transport == _VIA_SHM and worker.reader is not None:
-                        data = worker.reader.read()
-                    else:
-                        data = body
+                    _, done_id, data = message
                     if done_id != task_id:
-                        # Stale completion from an abandoned task; the
-                        # ring record (if any) is already consumed.
+                        # Stale completion from an abandoned task.
                         continue
                     run.bytes_shipped += len(data)
                     inflight.pop(worker)
@@ -662,7 +466,7 @@ class WarmPool:
                     dispatch(worker)
         except BaseException:
             # Leave no worker mid-task: the next run_points call must
-            # start from an idle pool with an empty transport.
+            # start from an idle pool with empty pipes.
             for worker in list(inflight):
                 self._respawn(worker, run)
             raise

@@ -122,6 +122,15 @@ class TestCli:
     def test_run_rejects_bad_shards(self, capsys):
         assert main(["run", "-b", "taobench", "--shards", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag", ["--no-warm-pool", "--schedule=fifo", "--auto-shard"]
+    )
+    def test_suite_has_one_dispatch_path(self, flag, capsys):
+        # --parallel alone picks the path: in-process or the warm pool.
+        with pytest.raises(SystemExit):
+            main(["suite", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_workloads_list(self, capsys):
         assert main(["workloads", "list"]) == 0
         out = capsys.readouterr().out

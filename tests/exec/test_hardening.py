@@ -1,9 +1,10 @@
 """Executor hardening: timeouts, worker-crash recovery, partial resume,
 and graceful cache degradation.
 
-These cover the **cold** pool path (``warm_pool=False``) — the
-fallback when ``DCPERF_WARM_POOL=0``.  The warm path's equivalents
-(per-worker kill-and-respawn) live in ``test_workerpool.py``."""
+These drive :class:`SweepExecutor` end to end: points the warm pool
+loses (timeout or crash) must come back from the in-process re-run
+byte-identical to a serial sweep.  The pool's own per-worker
+kill-and-respawn is pinned in ``test_workerpool.py``."""
 
 import json
 import os
@@ -14,12 +15,22 @@ import pytest
 from repro.exec.cache import RunCache, cache_from_env
 from repro.exec.executor import SweepExecutor, _run_point_payload
 from repro.exec.spec import RunPoint, run_fingerprint
+from repro.exec.workerpool import PoolRunStats, WarmPool
 
 FAST = dict(measure_seconds=0.5, warmup_seconds=0.2)
 
 
 def fast_point(benchmark="taobench", **kwargs):
     return RunPoint(benchmark=benchmark, **{**FAST, **kwargs})
+
+
+def sweep_bytes(reports):
+    return [json.dumps(r.as_dict(), sort_keys=True) for r in reports]
+
+
+def lose_every_point(self, todo, workers, **kwargs):
+    """Stand-in for ``WarmPool.run_points`` whose workers all died."""
+    return {}, list(todo), 0, PoolRunStats(workers=workers)
 
 
 class TestPointTimeout:
@@ -35,33 +46,28 @@ class TestPointTimeout:
         # env var applies, so drop it before the executor falls back.
         # Two distinct points are needed: a one-point grid clamps the
         # worker count to 1 and takes the serial (unpooled) path.
+        points = [fast_point(), fast_point("feedsim")]
+        serial = SweepExecutor(max_workers=1, cache=None, use_cache=False)
+        expected = sweep_bytes(serial.run(points))
+
         monkeypatch.setenv("DCPERF_FAULT_POINT_DELAY", "5.0")
         executor = SweepExecutor(
-            max_workers=2,
-            cache=None,
-            use_cache=False,
-            point_timeout_s=0.5,
-            warm_pool=False,
+            max_workers=2, cache=None, use_cache=False, point_timeout_s=0.5
         )
-        points = [fast_point(), fast_point("feedsim")]
+        original = WarmPool.run_points
 
-        original = SweepExecutor._run_pooled
-
-        def pooled_then_clear_delay(self, todo, workers):
-            result = original(self, todo, workers)
+        def pooled_then_clear_delay(self, *args, **kwargs):
+            result = original(self, *args, **kwargs)
             os.environ.pop("DCPERF_FAULT_POINT_DELAY", None)
             return result
 
-        monkeypatch.setattr(
-            SweepExecutor, "_run_pooled", pooled_then_clear_delay
-        )
+        monkeypatch.setattr(WarmPool, "run_points", pooled_then_clear_delay)
         reports = executor.run(points)
         stats = executor.last_stats
         assert stats.timeouts == 2
         assert stats.recovered == 2
-        assert stats.pool_mode == "cold"
-        assert [r.benchmark for r in reports] == ["taobench", "feedsim"]
-        assert all(r.metric_value > 0 for r in reports)
+        assert stats.pool_mode == "warm"
+        assert sweep_bytes(reports) == expected
 
     def test_no_timeout_no_recovery(self):
         executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
@@ -73,38 +79,29 @@ class TestPointTimeout:
 
 class TestWorkerCrashRecovery:
     def test_broken_pool_points_rerun_in_process(self, monkeypatch):
-        """When the pool breaks, every lost point is recovered in-process
-        and the sweep still returns a full, correct result set."""
-
-        def broken_pool(self, todo, workers):
-            return {}, list(todo), 0
-
-        monkeypatch.setattr(SweepExecutor, "_run_pooled", broken_pool)
-        executor = SweepExecutor(
-            max_workers=2, cache=None, use_cache=False, warm_pool=False
-        )
+        """When the pool loses every point, each one is recovered
+        in-process and the sweep still returns a full result set."""
+        monkeypatch.setattr(WarmPool, "run_points", lose_every_point)
+        executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
         points = [fast_point(), fast_point("feedsim")]
         reports = executor.run(points)
+        assert executor.last_stats.pool_mode == "warm"
         assert executor.last_stats.recovered == 2
         assert [r.benchmark for r in reports] == ["taobench", "feedsim"]
         assert all(r.metric_value > 0 for r in reports)
 
     def test_recovered_reports_match_serial(self, monkeypatch):
-        point = fast_point()
+        # Two points, so the two-worker sweep takes the pool path.
+        points = [fast_point(), fast_point(seed=8)]
         serial = SweepExecutor(
             max_workers=1, cache=None, use_cache=False
-        ).run([point])[0]
+        ).run(points)
 
-        def broken_pool(self, todo, workers):
-            return {}, list(todo), 0
-
-        monkeypatch.setattr(SweepExecutor, "_run_pooled", broken_pool)
-        recovered = SweepExecutor(
-            max_workers=2, cache=None, use_cache=False, warm_pool=False
-        ).run([point])[0]
-        assert json.dumps(recovered.as_dict(), sort_keys=True) == json.dumps(
-            serial.as_dict(), sort_keys=True
-        )
+        monkeypatch.setattr(WarmPool, "run_points", lose_every_point)
+        executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
+        recovered = executor.run(points)
+        assert executor.last_stats.recovered == 2
+        assert sweep_bytes(recovered) == sweep_bytes(serial)
 
     def test_app_level_exception_still_propagates(self):
         executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)

@@ -1,14 +1,13 @@
-"""Cost-model scheduling: ledger, LPT, stealing, auto-shard plans.
+"""Cost-model scheduling: ledger, LPT order, stealing.
 
-The load-bearing invariants (ISSUE 9):
+The load-bearing invariants:
 
-* LPT dispatch + queue-aware stealing produce **byte-identical**
-  merged ``SweepResult``s vs FIFO across the in-process, cold-pool,
-  and warm-pool paths — scheduling moves completion order, never
-  bytes.
-* The auto-shard plan is a **pure function** of its inputs: the same
-  specs against the same ledger snapshot always produce the same
-  plan, and different worker counts record different plans.
+* LPT dispatch + queue-aware stealing produce merged ``SweepResult``s
+  **byte-identical** to running each point in spec order with
+  ``execute_point``, on the in-process and warm-pool paths alike —
+  scheduling moves completion order, never bytes.
+* A cold ledger prices a point at its simulated seconds, so points
+  with equal windows keep spec order.
 * The ledger degrades gracefully: corrupt sidecars load as empty,
   unwritable directories stop persistence without stopping the sweep.
 """
@@ -24,6 +23,7 @@ from repro.exec.executor import (
     SweepExecutor,
     _cgroup_cpu_quota,
     auto_workers,
+    execute_point,
 )
 from repro.exec.schedule import (
     SOURCE_CLASS,
@@ -31,10 +31,8 @@ from repro.exec.schedule import (
     SOURCE_SEED,
     CostLedger,
     order_lpt,
-    plan_auto_shards,
-    seed_cost,
 )
-from repro.exec.shard import shardable
+from repro.exec.shard import expand_shards
 from repro.exec.spec import RunPoint, cost_class, run_fingerprint
 from repro.exec.workerpool import WarmPool, shutdown_warm_pool
 
@@ -51,13 +49,14 @@ def sweep_bytes(reports):
 
 class TestCostLedger:
     def test_prediction_specificity_ladder(self, tmp_path):
-        """Exact fingerprint beats class aggregate beats seed table."""
+        """Exact fingerprint beats class aggregate beats the point's
+        simulated seconds."""
         ledger = CostLedger(str(tmp_path))
         point = fast_point()
         fp = run_fingerprint(point)
         cold, source = ledger.predict_with_source(point, fp)
         assert source == SOURCE_SEED
-        assert cold == pytest.approx(seed_cost(point))
+        assert cold == pytest.approx(0.4)  # warmup 0.1 + measure 0.3
 
         # A sibling in the same class (different seed) feeds the class
         # aggregate, which now predicts our point too.
@@ -105,8 +104,8 @@ class TestCostLedger:
         ledger = CostLedger(str(tmp_path)).load()
         assert ledger.entries() == 0
         point = fast_point()
-        # Predictions still work (seed table) and a save replaces the
-        # corrupt file with a valid one.
+        # Predictions still work (simulated seconds) and a save
+        # replaces the corrupt file with a valid one.
         assert ledger.predict(point) > 0
         ledger.record(run_fingerprint(point), point, 1.5)
         assert ledger.save() == str(path)
@@ -129,6 +128,43 @@ class TestCostLedger:
         assert ledger.directory is None
         assert ledger.predict(point, run_fingerprint(point)) == 1.0
         assert ledger.save() is None
+
+    def test_cold_ledger_prices_simulated_seconds(self):
+        """No per-workload rate table: every workload, clean or
+        faulted, costs its warmup plus measure window, and a shard
+        sub-point costs its share of the parent's window."""
+        ledger = CostLedger(None)
+        for point in (
+            fast_point("llmbench-chat"),
+            fast_point("sparkbench", faults="blackout"),
+        ):
+            assert ledger.predict(point) == pytest.approx(0.4)
+        long_window = fast_point(measure_seconds=1.5, warmup_seconds=0.5)
+        assert ledger.predict(long_window) == pytest.approx(2.0)
+        for sub in expand_shards(fast_point(shards=4)):
+            assert ledger.predict(sub) == pytest.approx(0.1)
+
+    def test_cold_ledger_keeps_spec_order_for_equal_windows(self):
+        ledger = CostLedger(None)
+        points = [
+            fast_point(name, sku=sku)
+            for sku in ("SKU1", "SKU2")
+            for name in ("llmbench-chat", "djangobench", "aibench")
+        ]
+        todo = [(run_fingerprint(p), p) for p in points]
+        ordered = order_lpt(
+            todo, lambda fp, point: ledger.predict(point, fingerprint=fp)
+        )
+        assert ordered == todo
+
+    def test_cost_class_groups_runs_correctly(self):
+        a = fast_point(sku="SKU1", seed=1)
+        b = fast_point(sku="SKU4", seed=9, kernel="6.4")
+        assert cost_class(a) == cost_class(b)  # SKU/seed/kernel-free
+        assert cost_class(a) != cost_class(fast_point(faults="blackout"))
+        assert cost_class(a) != cost_class(
+            fast_point(measure_seconds=0.7)
+        )
 
     def test_ledger_is_not_a_cache_entry(self, tmp_path):
         """``cache info``/``clear`` must not count or delete the
@@ -156,7 +192,11 @@ class TestLptOrdering:
 
 
 class TestSchedulingByteIdentity:
-    """LPT + stealing vs FIFO: identical merged results on every path."""
+    """LPT + stealing vs spec order (FIFO): identical merged results.
+
+    The reference runs every point with ``execute_point`` in spec
+    order; each sweep below dispatches longest-predicted-first.
+    """
 
     POINTS = None
 
@@ -173,44 +213,29 @@ class TestSchedulingByteIdentity:
         return cls.POINTS
 
     @pytest.fixture(scope="class")
-    def fifo_reference(self):
-        executor = SweepExecutor(
-            max_workers=1, cache=None, use_cache=False, schedule="fifo"
-        )
-        return sweep_bytes(executor.run(self.points()))
+    def spec_order_reference(self):
+        return sweep_bytes(execute_point(p) for p in self.points())
 
-    def test_inproc_lpt_matches_fifo(self, fifo_reference):
-        executor = SweepExecutor(
-            max_workers=1, cache=None, use_cache=False, schedule="lpt"
-        )
-        assert sweep_bytes(executor.run(self.points())) == fifo_reference
+    def test_inproc_lpt_matches_fifo(self, spec_order_reference):
+        executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
+        assert sweep_bytes(executor.run(self.points())) == spec_order_reference
 
-    def test_cold_pool_lpt_matches_fifo(self, fifo_reference):
-        executor = SweepExecutor(
-            max_workers=3, cache=None, use_cache=False,
-            schedule="lpt", warm_pool=False,
-        )
-        reports = executor.run(self.points())
-        assert executor.last_stats.pool_mode == "cold"
-        assert sweep_bytes(reports) == fifo_reference
-
-    def test_warm_pool_lpt_matches_fifo(self, fifo_reference):
+    def test_warm_pool_lpt_matches_fifo(self, spec_order_reference):
         shutdown_warm_pool()
         try:
             executor = SweepExecutor(
-                max_workers=3, cache=None, use_cache=False,
-                schedule="lpt", warm_pool=True,
+                max_workers=3, cache=None, use_cache=False
             )
             reports = executor.run(self.points())
             assert executor.last_stats.pool_mode == "warm"
-            assert sweep_bytes(reports) == fifo_reference
+            assert sweep_bytes(reports) == spec_order_reference
         finally:
             shutdown_warm_pool()
 
     def test_warm_ledger_does_not_change_bytes(self, tmp_path,
-                                               fifo_reference):
-        """A sweep scheduled from recorded history (not the seed
-        table) still merges to the same bytes."""
+                                               spec_order_reference):
+        """A sweep scheduled from recorded history (not simulated
+        seconds) still merges to the same bytes."""
         ledger = CostLedger(str(tmp_path))
         for point in self.points():
             ledger.record(
@@ -218,14 +243,9 @@ class TestSchedulingByteIdentity:
                 2.0 if point.benchmark == "djangobench" else 0.2,
             )
         executor = SweepExecutor(
-            max_workers=1, cache=None, use_cache=False,
-            schedule="lpt", ledger=ledger,
+            max_workers=1, cache=None, use_cache=False, ledger=ledger
         )
-        assert sweep_bytes(executor.run(self.points())) == fifo_reference
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            SweepExecutor(max_workers=1, schedule="random")
+        assert sweep_bytes(executor.run(self.points())) == spec_order_reference
 
 
 class TestQueueAwareStealing:
@@ -251,97 +271,6 @@ class TestQueueAwareStealing:
             assert run.steals >= 1
         finally:
             pool.close()
-
-    def test_no_steals_without_cost_model(self):
-        pool = WarmPool()
-        try:
-            todo = [
-                (run_fingerprint(p), p)
-                for p in (fast_point(seed=4), fast_point(seed=5))
-            ]
-            _, _, _, run = pool.run_points(todo, workers=2)
-            assert run.steals == 0
-        finally:
-            pool.close()
-
-
-class TestAutoShardPlan:
-    @staticmethod
-    def imbalanced():
-        return [
-            RunPoint(benchmark="aibench", measure_seconds=1.0,
-                     warmup_seconds=0.2),
-            fast_point("djangobench", seed=1),
-            fast_point("djangobench", seed=2),
-        ]
-
-    def test_plan_is_pure_function_of_inputs(self, tmp_path):
-        ledger = CostLedger(str(tmp_path))
-        points = self.imbalanced()
-        first = plan_auto_shards(points, 4, ledger.predict)
-        again = plan_auto_shards(points, 4, ledger.predict)
-        assert first == again
-        assert first  # the aibench straggler got expanded
-        (point, shards), = first.items()
-        assert point.benchmark == "aibench" and 2 <= shards <= 4
-
-    def test_different_worker_counts_record_different_plans(self):
-        ledger = CostLedger(None)
-        points = self.imbalanced()
-        two = plan_auto_shards(points, 2, ledger.predict)
-        eight = plan_auto_shards(points, 8, ledger.predict)
-        assert next(iter(two.values())) < next(iter(eight.values()))
-        assert plan_auto_shards(points, 1, ledger.predict) == {}
-
-    def test_only_plain_points_are_eligible(self):
-        ledger = CostLedger(None)
-        explicit = RunPoint(benchmark="aibench", measure_seconds=1.0,
-                            warmup_seconds=0.2, shards=2)
-        assert not shardable(explicit)
-        plan = plan_auto_shards(
-            [explicit, fast_point("djangobench")], 4, ledger.predict
-        )
-        assert explicit not in plan
-
-    def test_balanced_sweep_plans_nothing(self):
-        ledger = CostLedger(None)
-        points = [fast_point("djangobench", seed=i) for i in range(4)]
-        assert plan_auto_shards(points, 4, ledger.predict) == {}
-
-    def test_executor_records_replayable_plan(self, tmp_path):
-        """Same specs + same ledger snapshot → same recorded plan and
-        byte-identical reports; the plan rides in SweepStats."""
-        points = self.imbalanced()
-
-        def run_once():
-            executor = SweepExecutor(
-                max_workers=2, cache=None, use_cache=False,
-                auto_shard=True, ledger=CostLedger(str(tmp_path)),
-            )
-            result = executor.run_sweep(points)
-            return sweep_bytes(result.reports), executor.last_stats
-
-        first, first_stats = run_once()
-        again, again_stats = run_once()
-        assert first_stats.auto_sharded == 1
-        assert first_stats.auto_shard_plan == again_stats.auto_shard_plan
-        assert first == again
-        row = first_stats.auto_shard_plan[0]
-        assert row["workload"] == "aibench" and row["workers"] == 2
-        assert row["shards"] >= 2 and row["predicted_s"] > 0
-        # The expanded parent merged like an explicit shards=N run.
-        merged = json.loads(first[0])
-        assert merged["system"]["shards"] == row["shards"]
-        assert "auto_shard_plan" in first_stats.as_dict()
-
-    def test_cost_class_groups_runs_correctly(self):
-        a = fast_point(sku="SKU1", seed=1)
-        b = fast_point(sku="SKU4", seed=9, kernel="6.4")
-        assert cost_class(a) == cost_class(b)  # SKU/seed/kernel-free
-        assert cost_class(a) != cost_class(fast_point(faults="blackout"))
-        assert cost_class(a) != cost_class(
-            fast_point(measure_seconds=0.7)
-        )
 
 
 class TestAutoWorkersLimits:

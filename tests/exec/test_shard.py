@@ -2,8 +2,8 @@
 
 The headline invariants: ``shards=1`` is bit-identical to the
 unsharded path, and a fixed ``shards=N`` run produces byte-identical
-reports on every execution path (in-process, cold pool, warm pool) and
-across cache round-trips.
+reports on both execution paths (in-process and warm pool) and across
+cache round-trips.
 """
 
 import dataclasses
@@ -162,18 +162,15 @@ class TestShardExecution:
 
         assert report_bytes(execute_point(parent)) == baseline
 
-        for warm in (False, True):
-            pooled = SweepExecutor(
-                max_workers=2, cache=None, use_cache=False, warm_pool=warm
-            )
-            assert report_bytes(pooled.run([parent])[0]) == baseline
-            stats = pooled.last_stats
-            assert stats.pool_mode == ("warm" if warm else "cold")
-            # The workers field reflects shard sub-points: one run
-            # genuinely fanned out across the pool.
-            assert stats.workers == 2
-            assert stats.shard_points == 2
-            assert stats.merged_runs == 1
+        pooled = SweepExecutor(max_workers=2, cache=None, use_cache=False)
+        assert report_bytes(pooled.run([parent])[0]) == baseline
+        stats = pooled.last_stats
+        assert stats.pool_mode == "warm"
+        # The workers field reflects shard sub-points: one run
+        # genuinely fanned out across the pool.
+        assert stats.workers == 2
+        assert stats.shard_points == 2
+        assert stats.merged_runs == 1
 
     def test_cache_round_trip(self, tmp_path):
         parent = fast_point(seed=11, shards=2)

@@ -15,13 +15,9 @@ import time
 import pytest
 
 from repro.exec.executor import SweepExecutor, _run_point_payload
+from repro.exec.serialize import dict_to_bytes
 from repro.exec.spec import RunPoint, pool_key, run_fingerprint
-from repro.exec.workerpool import (
-    WarmPool,
-    get_warm_pool,
-    shutdown_warm_pool,
-    warm_pool_enabled,
-)
+from repro.exec.workerpool import WarmPool, get_warm_pool, shutdown_warm_pool
 
 FAST = dict(measure_seconds=0.3, warmup_seconds=0.1)
 
@@ -81,16 +77,12 @@ class TestWarmPoolLifecycle:
         shutdown_warm_pool()
         try:
             points = [fast_point(), fast_point("feedsim")]
-            first = SweepExecutor(
-                max_workers=2, cache=None, use_cache=False, warm_pool=True
-            )
+            first = SweepExecutor(max_workers=2, cache=None, use_cache=False)
             first.run(points)
             assert first.last_stats.pool_mode == "warm"
             assert first.last_stats.spawned == 2
 
-            second = SweepExecutor(
-                max_workers=2, cache=None, use_cache=False, warm_pool=True
-            )
+            second = SweepExecutor(max_workers=2, cache=None, use_cache=False)
             second.run(points)
             assert second.last_stats.spawned == 0
             assert second.last_stats.reused == 2
@@ -135,31 +127,13 @@ class TestWorkerKeying:
 
 
 class TestTransport:
-    def test_shm_and_pipe_transport_agree(self):
-        point = fast_point()
-        expected = _run_point_payload(point)
-        for use_shm in (True, False):
-            pool = WarmPool(use_shm=use_shm)
-            try:
-                completed, lost, timeouts, run = pool.run_points(
-                    as_todo([point]), workers=1
-                )
-                assert not lost and timeouts == 0
-                assert run.bytes_shipped > 0
-                (payload,) = completed.values()
-                assert json.dumps(payload, sort_keys=True) == json.dumps(
-                    expected, sort_keys=True
-                )
-            finally:
-                pool.close()
-
-    def test_ring_wraps_across_many_results(self):
-        """A ring barely bigger than one record forces wrap-around on
-        nearly every completion; payloads must still be intact."""
+    def test_many_results_ride_one_worker_pipe(self):
+        """Five results back to back through one worker's pipe arrive
+        intact, each shipped as its binary-codec encoding."""
         points = [fast_point(seed=s) for s in range(5)]
-        pool = WarmPool(ring_bytes=4096)
+        pool = WarmPool()
         try:
-            completed, lost, timeouts, _ = pool.run_points(
+            completed, lost, timeouts, run = pool.run_points(
                 as_todo(points), workers=1
             )
             assert not lost and timeouts == 0
@@ -172,23 +146,9 @@ class TestTransport:
         assert {
             fp: json.dumps(v, sort_keys=True) for fp, v in completed.items()
         } == {fp: json.dumps(v, sort_keys=True) for fp, v in expected.items()}
-
-    def test_oversized_record_falls_back_to_pipe(self):
-        """A record larger than the whole ring ships via the pipe."""
-        point = fast_point()
-        pool = WarmPool(ring_bytes=256)
-        try:
-            completed, lost, timeouts, run = pool.run_points(
-                as_todo([point]), workers=1
-            )
-            assert not lost and timeouts == 0
-            assert run.bytes_shipped > 256
-            (payload,) = completed.values()
-            assert json.dumps(payload, sort_keys=True) == json.dumps(
-                _run_point_payload(point), sort_keys=True
-            )
-        finally:
-            pool.close()
+        assert run.bytes_shipped == sum(
+            len(dict_to_bytes(payload)) for payload in expected.values()
+        )
 
 
 class TestAffinityDispatch:
@@ -204,8 +164,9 @@ class TestAffinityDispatch:
         # each, so every worker has exactly one workload.
         assert sorted(len(s) for s in seen_after_first) == [1, 1]
 
-        # Reversed order: FIFO dispatch would swap the assignment and
-        # every worker would pay the other workload's warm-up.
+        # Reversed order: plain spec-order dispatch would swap the
+        # assignment and every worker would pay the other workload's
+        # warm-up.
         pool.run_points(as_todo(list(reversed(points))), workers=2)
         assert [set(w.seen) for w in pool._workers] == seen_after_first
 
@@ -284,14 +245,10 @@ class TestTimeoutKillsStraggler:
 
     def test_executor_warm_timeout_recovers_in_process(self, monkeypatch):
         """End-to-end: warm path timeout → kill/respawn → in-process
-        recovery, mirroring the cold-path regression test."""
+        recovery."""
         monkeypatch.setenv("DCPERF_FAULT_POINT_DELAY", "5.0")
         executor = SweepExecutor(
-            max_workers=2,
-            cache=None,
-            use_cache=False,
-            point_timeout_s=0.5,
-            warm_pool=True,
+            max_workers=2, cache=None, use_cache=False, point_timeout_s=0.5
         )
         points = [fast_point(), fast_point("feedsim")]
 
@@ -326,9 +283,7 @@ class TestExecutorWarmPath:
             fast_point("feedsim", sku="SKU2"),
         ]
         serial = SweepExecutor(max_workers=1, cache=None, use_cache=False)
-        warm = SweepExecutor(
-            max_workers=4, cache=None, use_cache=False, warm_pool=True
-        )
+        warm = SweepExecutor(max_workers=4, cache=None, use_cache=False)
         serial_reports = serial.run(points)
         warm_reports = warm.run(points)
         assert warm.last_stats.pool_mode == "warm"
@@ -341,9 +296,7 @@ class TestExecutorWarmPath:
     def test_on_point_streams_every_unique_point(self):
         points = [fast_point(), fast_point("feedsim"), fast_point()]
         streamed = []
-        executor = SweepExecutor(
-            max_workers=2, cache=None, use_cache=False, warm_pool=True
-        )
+        executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
         reports = executor.run(
             points, on_point=lambda p, r: streamed.append((p, r))
         )
@@ -373,15 +326,3 @@ class TestExecutorWarmPath:
         executor.run([point], on_point=lambda p, r: streamed.append(p))
         assert executor.last_stats.cache_hits == 1
         assert streamed == [point]
-
-    def test_env_flag_parsing(self, monkeypatch):
-        monkeypatch.delenv("DCPERF_WARM_POOL", raising=False)
-        assert warm_pool_enabled()
-        monkeypatch.setenv("DCPERF_WARM_POOL", "0")
-        assert not warm_pool_enabled()
-        assert (
-            SweepExecutor(max_workers=2, cache=None, use_cache=False).warm_pool
-            is False
-        )
-        monkeypatch.setenv("DCPERF_WARM_POOL", "1")
-        assert warm_pool_enabled()

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Tier-1 verification: the full unit suite plus a parallel smoke sweep.
+# Tier-1 verification: the full unit suite, the benchmark's own tests,
+# and smoke sweeps.
 #
 # The run cache is pointed at a throwaway directory so CI results can
 # never leak into (or be served from) a developer's ~/.cache, and the
-# smoke sweep exercises the real multi-process path end to end.
+# smoke sweeps exercise the real warm worker pool end to end.
 #
 # Usage: tools/ci.sh   (or: make verify)
 set -eu
@@ -19,6 +20,11 @@ trap 'rm -rf "$CACHE_TMP"' EXIT INT TERM
 
 echo "== tier-1 tests (cache dir: $CACHE_TMP) =="
 python -m pytest -x -q
+
+# The benchmark reaches into repro.exec by name (the pool's decode
+# call, SweepStats keys, the ledger); its own tests fail if one goes.
+echo "== benchmark tests (bench/) =="
+python -m pytest -q bench
 
 echo "== parallel smoke sweep (2 points, 2 workers) =="
 python - <<'EOF'
@@ -63,7 +69,7 @@ points = [
 ]
 
 def sweep():
-    executor = SweepExecutor(max_workers=2, use_cache=False, warm_pool=True)
+    executor = SweepExecutor(max_workers=2, use_cache=False)
     reports = executor.run(points)
     return [json.dumps(r.as_dict(), sort_keys=True) for r in reports], \
         executor.last_stats
@@ -145,7 +151,7 @@ replay = execute_point(point).as_dict()
 assert first == replay, "overload_shed replay is not deterministic"
 
 # The warm-pool transport must carry the control section unchanged.
-pooled = SweepExecutor(max_workers=2, use_cache=False, warm_pool=True).run(
+pooled = SweepExecutor(max_workers=2, use_cache=False).run(
     [point, RunPoint(benchmark="taobench", sku="SKU2", seed=11,
                      measure_seconds=0.5, warmup_seconds=0.2)])
 assert json.dumps(pooled[0].as_dict(), sort_keys=True) \
@@ -250,7 +256,7 @@ replay = json.dumps(execute_point(point).as_dict(), sort_keys=True)
 assert first == replay, "llmbench in-proc replay diverged"
 
 # ...through the warm worker pool...
-warm_ex = SweepExecutor(max_workers=2, use_cache=False, warm_pool=True)
+warm_ex = SweepExecutor(max_workers=2, use_cache=False)
 warm = warm_ex.run(
     [point, RunPoint(**dict(base, benchmark="llmbench-codegen"))])
 assert warm_ex.last_stats.pool_mode == "warm"
@@ -301,8 +307,7 @@ inproc_ex = SweepExecutor(max_workers=1, cache=None, use_cache=False)
 inproc = json.dumps(inproc_ex.run([sharded])[0].as_dict(), sort_keys=True)
 assert inproc_ex.last_stats.shard_points == 2
 assert inproc_ex.last_stats.merged_runs == 1
-warm_ex = SweepExecutor(max_workers=2, cache=None, use_cache=False,
-                        warm_pool=True)
+warm_ex = SweepExecutor(max_workers=2, cache=None, use_cache=False)
 warm = json.dumps(warm_ex.run([sharded])[0].as_dict(), sort_keys=True)
 assert warm_ex.last_stats.pool_mode == "warm"
 assert warm == inproc, "sharded warm-pool run diverged from in-proc"
@@ -335,7 +340,7 @@ from repro.exec.spec import RunPoint
 from repro.exec.workerpool import shutdown_warm_pool
 
 # An imbalanced sweep: two short points and one long straggler, the
-# straggler last in spec order (the FIFO worst case LPT reorders).
+# straggler last in spec order (the worst case LPT reorders).
 points = [
     RunPoint(benchmark="djangobench", sku="SKU1",
              measure_seconds=0.4, warmup_seconds=0.1),
@@ -346,15 +351,14 @@ points = [
 ]
 
 def sweep():
-    executor = SweepExecutor(max_workers=2, cache=None, use_cache=False,
-                             warm_pool=True, schedule="lpt")
+    executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
     reports = executor.run(points)
     return [json.dumps(r.as_dict(), sort_keys=True) for r in reports], \
         executor.last_stats
 
-# First pass schedules from the seed cost table (cold ledger) and
-# records every measured wall time; the second schedules from that
-# recorded history.  Both must merge to the same bytes.
+# First pass schedules by simulated seconds (cold ledger) and records
+# every measured wall time; the second schedules from that recorded
+# history.  Both must merge to the same bytes.
 cold, cold_stats = sweep()
 assert cold_stats.ledger_recorded == 3, cold_stats.ledger_recorded
 warm, warm_stats = sweep()
@@ -379,11 +383,5 @@ python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 
 echo "== golden traces with workload fast path (byte-identity gate) =="
 python -m pytest -x -q tests/test_golden_traces.py
-
-echo "== workload bench smoke (all six benchmarks + fault scenario) =="
-python tools/bench_workloads.py --smoke
-
-echo "== llm bench smoke (sessions + engine + end-to-end chat mix) =="
-python tools/bench_llm.py --smoke
 
 echo "== verify ok =="
