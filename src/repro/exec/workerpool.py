@@ -153,16 +153,6 @@ class PoolRunStats:
         other.bytes_shipped += self.bytes_shipped
         other.steals += self.steals
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "workers": self.workers,
-            "spawned": self.spawned,
-            "reused": self.reused,
-            "respawned": self.respawned,
-            "bytes_shipped": self.bytes_shipped,
-            "steals": self.steals,
-        }
-
 
 class _Worker:
     """One persistent worker process plus its pipe."""

@@ -273,7 +273,21 @@ class _PrefixCache:
 
 
 class LlmReplica:
-    """One serving instance running the continuous-batching loop."""
+    """One serving instance running the continuous-batching loop.
+
+    Observation callbacks:
+
+    * ``on_first_token(seq, ttft_seconds)`` — once per sequence, at its
+      first decoded token (time since submission).
+    * ``on_token(gap_seconds, count)`` — inter-token latency: ``count``
+      tokens each decoded ``gap_seconds`` after their sequence's previous
+      token.  One engine step delivers its gaps in sequence order, one
+      call per run of consecutive equal gaps, so the callback sees the
+      same multiset (and order) of gaps as ``count`` single-token calls;
+      ``LatencyRecorder.record`` takes this signature directly.
+    * ``on_preempt_resume(seq, stall_seconds)`` — time a preempted
+      sequence spent evicted from the batch, at its re-admission.
+    """
 
     def __init__(
         self,
@@ -281,7 +295,7 @@ class LlmReplica:
         params: EngineParams,
         stats: Optional[EngineStats] = None,
         on_first_token: Optional[Callable[[Sequence, float], None]] = None,
-        on_token: Optional[Callable[[Sequence, float], None]] = None,
+        on_token: Optional[Callable[[float, int], None]] = None,
         on_preempt_resume: Optional[Callable[[Sequence, float], None]] = None,
     ) -> None:
         self.harness = harness
@@ -293,10 +307,12 @@ class LlmReplica:
         self.active: List[Sequence] = []
         self._prefix_cache = _PrefixCache(params.prefix_cache_entries)
         self._wake: Optional[Event] = None
-        #: ``on_first_token(seq, ttft_seconds)`` — TTFT observation;
-        #: ``on_token(seq, gap_seconds)`` — inter-token latency;
-        #: ``on_preempt_resume(seq, stall_seconds)`` — time the
-        #: sequence spent evicted from the batch.
+        # Decode cost by resident count: ``len(active)`` never exceeds
+        # the slot count, and each entry is the method's own result.
+        self._decode_instructions = [
+            params.decode_step_instructions(residents)
+            for residents in range(params.max_batch_slots + 1)
+        ]
         self.on_first_token = on_first_token
         self.on_token = on_token
         self.on_preempt_resume = on_preempt_resume
@@ -319,8 +335,13 @@ class LlmReplica:
         return len(self.active)
 
     # --- engine loop ----------------------------------------------------------
-    def _admit(self) -> None:
-        """Move queued sequences into free slots while KV budget allows."""
+    def _admit(self) -> List[Sequence]:
+        """Move queued sequences into free slots while KV budget allows.
+
+        Returns the admitted sequences in admission order: the step's
+        prefill set.
+        """
+        admitted: List[Sequence] = []
         while self.pending and len(self.active) < self.params.max_batch_slots:
             seq = self.pending[0]
             need = seq.context_tokens
@@ -340,6 +361,8 @@ class LlmReplica:
                     self.on_preempt_resume(seq, self.env.now - seq.preempted_at)
                 seq.preempted_at = None
             self.active.append(seq)
+            admitted.append(seq)
+        return admitted
 
     def _prefill_discount(self, seq: Sequence) -> int:
         """Uncharged prompt tokens thanks to the prefix cache."""
@@ -385,55 +408,96 @@ class LlmReplica:
         seq.kv_tokens += 1
         return True
 
+    def _decode(self, now: float) -> None:
+        """Book one engine step's tokens: one per resident sequence.
+
+        When the step's whole KV growth fits the budget no sequence can
+        be preempted, so the growth is reserved once: a local residency
+        count written back after the walk.  Completions free their KV
+        mid-step, and residency only grows between two frees, so the
+        peak is taken just before each free and once at the end — the
+        values per-sequence reservations would have reached.  When the
+        growth does not fit, each sequence grows through
+        :meth:`_grow_kv`, preempting the youngest resident as needed.
+        """
+        active = self.active
+        kv = self.kv
+        stats = self.stats
+        on_first_token = self.on_first_token
+        on_token = self.on_token
+        bulk = kv.resident_tokens + len(active) <= kv.budget_tokens
+        resident = kv.resident_tokens
+        peak = kv.peak_tokens
+        decoded_tokens = 0
+        gap = None
+        run = 0
+        for seq in list(active):
+            if bulk:
+                resident += 1
+                seq.kv_tokens += 1
+            elif seq.needs_prefill or not self._grow_kv(seq):
+                # Preempted by an earlier sequence's growth, or by its own.
+                continue
+            decoded_tokens += 1
+            seq.decoded += 1
+            if seq.first_token_at is None:
+                seq.first_token_at = now
+                if on_first_token is not None:
+                    on_first_token(seq, now - seq.submitted_at)
+            elif on_token is not None:
+                seq_gap = now - seq.last_token_at
+                if seq_gap == gap:
+                    run += 1
+                else:
+                    if run:
+                        on_token(gap, run)
+                    gap = seq_gap
+                    run = 1
+            seq.last_token_at = now
+            if seq.decoded >= seq.target_tokens:
+                active.remove(seq)
+                if bulk:
+                    if resident > peak:
+                        peak = resident
+                    resident -= seq.kv_tokens
+                else:
+                    kv.release(seq.kv_tokens)
+                seq.kv_tokens = 0
+                stats.completions += 1
+                seq.done.succeed()
+        if run:
+            on_token(gap, run)
+        stats.decoded_tokens += decoded_tokens
+        if bulk:
+            kv.resident_tokens = resident
+            kv.peak_tokens = resident if resident > peak else peak
+
     def _loop(self) -> Generator:
         env = self.env
-        params = self.params
+        harness = self.harness
         stats = self.stats
+        prefill_instr_per_token = self.params.prefill_instr_per_token
+        decode_instructions = self._decode_instructions
+        active = self.active
         while True:
-            if not self.active and not self.pending:
+            if not active and not self.pending:
                 self._wake = Event(env)
                 yield self._wake
                 self._wake = None
-            self._admit()
-            fresh = [s for s in self.active if s.needs_prefill]
+            fresh = self._admit()
             if fresh:
                 instructions = 0.0
                 for seq in fresh:
                     tokens = seq.context_tokens
                     cached = self._prefill_discount(seq)
-                    instructions += (tokens - cached) * (
-                        params.prefill_instr_per_token
-                    )
+                    instructions += (tokens - cached) * prefill_instr_per_token
                     stats.prefill_tokens += tokens
                     stats.cached_prefix_tokens += cached
                     seq.needs_prefill = False
                 if instructions > 0:
-                    yield from self.harness.burst(instructions)
-            if not self.active:
+                    yield from harness.burst(instructions)
+            if not active:
                 continue
-            yield from self.harness.burst(
-                params.decode_step_instructions(len(self.active))
-            )
+            yield from harness.burst(decode_instructions[len(active)])
             stats.steps += 1
-            now = env.now
-            for seq in list(self.active):
-                if seq.needs_prefill:
-                    continue  # preempted by an earlier sequence's growth
-                if not self._grow_kv(seq):
-                    continue
-                seq.decoded += 1
-                stats.decoded_tokens += 1
-                if seq.first_token_at is None:
-                    seq.first_token_at = now
-                    if self.on_first_token is not None:
-                        self.on_first_token(seq, now - seq.submitted_at)
-                elif self.on_token is not None:
-                    self.on_token(seq, now - seq.last_token_at)
-                seq.last_token_at = now
-                if seq.decoded >= seq.target_tokens:
-                    self.active.remove(seq)
-                    self.kv.release(seq.kv_tokens)
-                    seq.kv_tokens = 0
-                    stats.completions += 1
-                    assert seq.done is not None
-                    seq.done.succeed()
+            self._decode(env.now)

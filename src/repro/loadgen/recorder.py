@@ -83,11 +83,12 @@ class BucketedHistogram:
         return (((index - shift * sub) + 1) << shift) - 1
 
     # -- recording -------------------------------------------------------------
-    def record(self, seconds: float) -> None:
+    def record(self, seconds: float, count: int = 1) -> None:
+        """Count ``count`` samples of ``seconds`` (``count`` >= 1)."""
         units = self._units(seconds)
         index = self._index(units)
-        self._counts[index] = self._counts.get(index, 0) + 1
-        self._total += 1
+        self._counts[index] = self._counts.get(index, 0) + count
+        self._total += count
         if units > self._max_units:
             self._max_units = units
 
@@ -120,9 +121,12 @@ class BucketedHistogram:
     def mean(self) -> float:
         if self._total == 0:
             raise ValueError("no samples recorded")
+        # Ascending bucket order, as in ``percentile`` and the mergeable
+        # state: the float sum then depends only on the counts, not on
+        # which bucket happened to be filled (or merged in) first.
         acc = 0.0
-        for index, count in self._counts.items():
-            acc += self._bucket_mid_seconds(index) * count
+        for index in sorted(self._counts):
+            acc += self._bucket_mid_seconds(index) * self._counts[index]
         return acc / self._total
 
     def max(self) -> float:
@@ -191,13 +195,19 @@ class LatencyRecorder:
             return self._hist.total
         return len(self._samples)
 
-    def record(self, latency_seconds: float) -> None:
+    def record(self, latency_seconds: float, count: int = 1) -> None:
+        """Record ``count`` requests that each took ``latency_seconds``."""
         if latency_seconds < 0:
             raise ValueError("latency must be non-negative")
+        if count < 1:
+            raise ValueError("count must be >= 1")
         if self._hist is not None:
-            self._hist.record(latency_seconds)
+            self._hist.record(latency_seconds, count)
             return
-        self._samples.append(latency_seconds)
+        if count == 1:
+            self._samples.append(latency_seconds)
+        else:
+            self._samples.extend([latency_seconds] * count)
         self._sorted = False
 
     def record_error(self) -> None:

@@ -119,10 +119,6 @@ class CpuScheduler:
                 table.append(speedup - frac * (speedup - 1.0))
         self._speedup_by_count = table
 
-    def _current_speedup(self) -> float:
-        """Execution speedup at the current core occupancy."""
-        return self._speedup_by_count[self.cores.count]
-
     @property
     def dispatch_overhead_seconds(self) -> float:
         """Kernel cost charged per dispatch (switch + load-avg update).
@@ -172,7 +168,8 @@ class CpuScheduler:
             # the slot back so it cannot leak.
             self.cores.release(request)
             raise
-        speedup = self._current_speedup()
+        # Execution speedup at the current core occupancy.
+        speedup = self._speedup_by_count[self.cores._in_use]
         overhead = self.dispatch_overhead_seconds * dispatches
         duration = (user_seconds + kernel_seconds) / speedup + overhead
         duration *= self.fault_slowdown

@@ -16,7 +16,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Deque, List, Optional, Tuple
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import PENDING, Environment, Event
 
 
 class StorePut(Event):
@@ -124,10 +124,22 @@ class ResourceRequest(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._ok = True
         self.resource = resource
-        resource._waiters.append(self)
-        resource._trigger()
+        if resource._waiters or resource._in_use >= resource.capacity:
+            self._value = PENDING
+            resource._waiters.append(self)
+            resource._trigger()
+            return
+        # A free slot and nobody queued ahead: grant at once, with the
+        # very queue entry ``succeed`` appends on the queued path.
+        resource._in_use += 1
+        self._value = None
+        env._fifo.append((env.now, env._seq, self))
+        env._seq += 1
 
     def __enter__(self) -> "ResourceRequest":
         return self
@@ -175,7 +187,8 @@ class Resource:
         self._in_use -= 1
         if self._in_use < 0:
             raise RuntimeError("resource released more times than acquired")
-        self._trigger()
+        if self._waiters:
+            self._trigger()
 
     def _trigger(self) -> None:
         while self._waiters and self._in_use < self.capacity:

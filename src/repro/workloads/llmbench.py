@@ -18,8 +18,12 @@ Serving structure:
   granularity at which serving stacks shed load — while sessions
   still correlate turns through shared prefixes and think times.
 * **Token-level SLOs.**  TTFT (arrival to first token) and inter-token
-  gaps feed dedicated recorders; when the run carries the SLO control
-  plane (``--faults overload_shed``), turn latency drives the windowed
+  gaps feed dedicated recorders.  The engine hands each step's gaps to
+  the ITL recorder as ``(gap_seconds, count)`` runs, which is
+  ``LatencyRecorder.record``'s own signature: the recorder method is
+  the callback, and a step whose ``n`` gaps are equal costs one call.
+  When the run carries the SLO control plane
+  (``--faults overload_shed``), turn latency drives the windowed
   tracker, preemption stalls fold into its accounting, and the token
   percentiles surface as ``slo_ttft_*``/``slo_itl_*`` in the report's
   SLO section.
@@ -108,9 +112,6 @@ class LlmBench(Workload):
         def on_first_token(seq: Sequence, seconds: float) -> None:
             ttft.record(seconds)
 
-        def on_token(seq: Sequence, seconds: float) -> None:
-            itl.record(seconds)
-
         on_preempt_resume = None
         if slo_tracker is not None:
 
@@ -125,7 +126,7 @@ class LlmBench(Workload):
                 params,
                 stats=engine_stats,
                 on_first_token=on_first_token,
-                on_token=on_token,
+                on_token=itl.record,
                 on_preempt_resume=on_preempt_resume,
             )
             for _ in range(num_replicas)

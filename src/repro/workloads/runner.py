@@ -337,7 +337,9 @@ class BenchmarkHarness:
         kernel_frac: Optional[float] = None,
         dispatches_per_request: int = 1,
     ):
-        """Generator executing one CPU burst with kernel accounting.
+        """One CPU burst with kernel accounting: returns the scheduler's
+        :meth:`~repro.oskernel.scheduler.CpuScheduler.execute` generator
+        for the caller to ``yield from``.
 
         ``dispatches_per_request`` is the number of production-side
         scheduling events this burst represents per request (e.g. a
@@ -346,7 +348,7 @@ class BenchmarkHarness:
         """
         kf = self.chars.kernel_frac if kernel_frac is None else kernel_frac
         seconds = self.server.service_seconds(instructions) * self.config.batch
-        yield from self.scheduler.execute(
+        return self.scheduler.execute(
             seconds * (1.0 - kf),
             seconds * kf,
             dispatches=self.config.batch * dispatches_per_request,

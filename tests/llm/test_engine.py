@@ -1,9 +1,12 @@
 """The continuous-batching engine: KV ledger, preemption, prefix cache."""
 
+import random
+
 import pytest
 
 from repro.llm.catalog import get_mix
 from repro.llm.engine import (
+    KV_BYTES_PER_TOKEN,
     EngineParams,
     EngineStats,
     KvLedger,
@@ -11,7 +14,7 @@ from repro.llm.engine import (
     Sequence,
     expected_turn_instructions,
 )
-from repro.uarch.characteristics import WorkloadCharacteristics
+from repro.sim.engine import Event
 from repro.workloads.base import RunConfig
 from repro.workloads.profiles import BENCHMARK_PROFILES
 from repro.workloads.runner import BenchmarkHarness
@@ -228,7 +231,7 @@ class TestTokenCallbacks:
             harness,
             EngineParams(),
             on_first_token=lambda seq, s: ttft.append(s),
-            on_token=lambda seq, s: gaps.append(s),
+            on_token=lambda gap, count: gaps.extend([gap] * count),
         )
         done = replica.submit(Sequence(0, 32, 16))
 
@@ -241,3 +244,196 @@ class TestTokenCallbacks:
         assert len(ttft) == 1 and ttft[0] > 0
         assert len(gaps) == 15  # 16 tokens -> 15 inter-token gaps
         assert all(g > 0 for g in gaps)
+
+
+class _PerTokenReplica(LlmReplica):
+    """Reference replica: the per-token decode loop the batched step
+    replaced.  Prefill rescans ``active``, decode is priced by
+    ``decode_step_instructions`` every step, every sequence grows its KV
+    through ``_grow_kv`` and every token is its own ``on_token(gap, 1)``
+    call.  It also counts sequences that preempted themselves, and
+    tokens decoded after a completion freed KV earlier in the same
+    step (where a bulk reservation must track the peak)."""
+
+    self_preemptions = 0
+    growth_after_completion = 0
+
+    def _loop(self):
+        env = self.env
+        params = self.params
+        stats = self.stats
+        while True:
+            if not self.active and not self.pending:
+                self._wake = Event(env)
+                yield self._wake
+                self._wake = None
+            self._admit()
+            fresh = [s for s in self.active if s.needs_prefill]
+            if fresh:
+                instructions = 0.0
+                for seq in fresh:
+                    tokens = seq.context_tokens
+                    cached = self._prefill_discount(seq)
+                    instructions += (tokens - cached) * (
+                        params.prefill_instr_per_token
+                    )
+                    stats.prefill_tokens += tokens
+                    stats.cached_prefix_tokens += cached
+                    seq.needs_prefill = False
+                if instructions > 0:
+                    yield from self.harness.burst(instructions)
+            if not self.active:
+                continue
+            yield from self.harness.burst(
+                params.decode_step_instructions(len(self.active))
+            )
+            stats.steps += 1
+            now = env.now
+            completed = False
+            for seq in list(self.active):
+                if seq.needs_prefill:
+                    continue  # preempted by an earlier sequence's growth
+                if not self._grow_kv(seq):
+                    self.self_preemptions += 1
+                    continue
+                self.growth_after_completion += completed
+                seq.decoded += 1
+                stats.decoded_tokens += 1
+                if seq.first_token_at is None:
+                    seq.first_token_at = now
+                    if self.on_first_token is not None:
+                        self.on_first_token(seq, now - seq.submitted_at)
+                elif self.on_token is not None:
+                    self.on_token(now - seq.last_token_at, 1)
+                seq.last_token_at = now
+                if seq.decoded >= seq.target_tokens:
+                    self.active.remove(seq)
+                    self.kv.release(seq.kv_tokens)
+                    seq.kv_tokens = 0
+                    stats.completions += 1
+                    seq.done.succeed()
+                    completed = True
+
+
+def _random_mix(seed):
+    """A seeded replica shape and arrival schedule.
+
+    Budgets run from a few prompts' worth of KV down to less than one
+    long prompt, so admission blocks, residents preempt each other and
+    themselves, and a lone sequence overflows the budget.
+    """
+    rng = random.Random(seed)
+    params = EngineParams(
+        max_batch_slots=rng.randint(1, 6),
+        kv_budget_bytes=rng.choice((40, 90, 160, 400, 12_500))
+        * KV_BYTES_PER_TOKEN,
+        prefix_cache_entries=2,
+    )
+    arrivals = []
+    for seq_id in range(rng.randint(4, 24)):
+        prompt = rng.randint(1, 80)
+        group = rng.choice((-1, -1, 0, 1, 2))
+        arrivals.append(
+            (
+                # Same-instant bursts and spread arrivals, in steps.
+                rng.choice((0, 0, rng.randint(1, 30))),
+                seq_id,
+                prompt,
+                rng.randint(1, 60),
+                group,
+                rng.randint(1, prompt) if group >= 0 else 0,
+            )
+        )
+    return params, arrivals
+
+
+def _drive(replica_cls, params, arrivals):
+    """Run one replica over ``arrivals``; return everything observable."""
+    harness = _harness()
+    env = harness.env
+    ttft, itl_calls = [], []
+    replica = replica_cls(
+        harness,
+        params,
+        on_first_token=lambda seq, s: ttft.append((seq.seq_id, s)),
+        on_token=lambda gap, count: itl_calls.append((env.now, gap, count)),
+    )
+    step = harness.server.service_seconds(params.decode_step_instructions(1))
+    seqs = []
+
+    def submitter():
+        done = []
+        for steps, seq_id, prompt, output, group, prefix in arrivals:
+            if steps:
+                yield env.sleep(steps * step)
+            seq = Sequence(seq_id, prompt, output, group, prefix)
+            seqs.append(seq)
+            done.append(replica.submit(seq))
+        for event in done:
+            yield event
+        env.stop()
+
+    env.process(submitter())
+    env.run(until=600.0)
+    return {
+        "kv": (
+            replica.kv.resident_tokens,
+            replica.kv.peak_tokens,
+            replica.kv.overflow_tokens,
+        ),
+        "stats": replica.stats,
+        "seqs": [
+            (
+                s.kv_tokens,
+                s.decoded,
+                s.preemptions,
+                s.first_token_at,
+                s.last_token_at,
+            )
+            for s in seqs
+        ],
+        "ttft": ttft,
+        "itl": [gap for _, gap, count in itl_calls for _ in range(count)],
+        "itl_calls": itl_calls,
+        "clock": (env.now, env._seq),
+        "replica": replica,
+    }
+
+
+class TestBatchedDecodeMatchesPerToken:
+    """The batched step (one KV reservation when the step's growth
+    fits, per-sequence preemption otherwise, ITL in runs) against the
+    per-token reference loop, over seeded sequence mixes."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_observables(self, seed):
+        params, arrivals = _random_mix(seed)
+        batched = _drive(LlmReplica, params, arrivals)
+        reference = _drive(_PerTokenReplica, params, arrivals)
+        for key in ("kv", "stats", "seqs", "ttft", "itl", "clock"):
+            assert batched[key] == reference[key], key
+        assert batched["stats"].completions == len(arrivals)
+        # One call per maximal run: within one step (one instant)
+        # consecutive calls carry different gaps.
+        calls = batched["itl_calls"]
+        assert all(count >= 1 for _, _, count in calls)
+        for (now_a, gap_a, _), (now_b, gap_b, _) in zip(calls, calls[1:]):
+            assert now_a != now_b or gap_a != gap_b
+
+    def test_mixes_cover_every_kv_regime(self):
+        """The seeds above are not vacuous: across them admission
+        blocks, sequences preempt others and themselves, a lone
+        sequence overflows, and sequences grow after a completion freed
+        KV earlier in the same step."""
+        totals = dict.fromkeys(
+            ("blocked", "preempted", "self", "overflow", "after_completion"), 0
+        )
+        for seed in range(24):
+            params, arrivals = _random_mix(seed)
+            replica = _drive(_PerTokenReplica, params, arrivals)["replica"]
+            totals["blocked"] += replica.stats.admission_blocked_steps
+            totals["preempted"] += replica.stats.preemptions
+            totals["self"] += replica.self_preemptions
+            totals["overflow"] += replica.kv.overflow_tokens
+            totals["after_completion"] += replica.growth_after_completion
+        assert all(totals.values()), totals

@@ -200,3 +200,86 @@ class TestWindowedUse:
         assert summary["count"] == 0
         assert r.errors == 2
         assert r.fraction_below(1.0) == 0.0
+
+
+def _hdr_answers(hist):
+    """A BucketedHistogram's counts and everything it answers with."""
+    return (
+        sorted(hist._counts.items()),
+        hist.total,
+        hist.max(),
+        hist.mean(),
+        [hist.percentile(p) for p in (0.0, 50.0, 90.0, 99.0, 99.9, 100.0)],
+    )
+
+
+class TestMeanOrder:
+    """``mean()`` sums buckets in ascending order, so it depends on the
+    counts alone: not on which bucket was filled (or merged) first."""
+
+    @staticmethod
+    def _shuffled_stream(seed):
+        rng = random.Random(seed)
+        samples = [rng.lognormvariate(-6.0, 1.5) for _ in range(rng.randint(2, 60))]
+        rng.shuffle(samples)
+        return samples
+
+    def test_mean_survives_state_round_trip(self):
+        for seed in range(200):
+            recorder = LatencyRecorder(backend="hdr")
+            for s in self._shuffled_stream(seed):
+                recorder.record(s)
+            rebuilt = LatencyRecorder.from_state(recorder.mergeable_state())
+            assert rebuilt.mean() == recorder.mean(), seed
+
+    def test_mean_independent_of_merge_order(self):
+        for seed in range(200):
+            left = self._shuffled_stream(seed)
+            right = self._shuffled_stream(seed + 1000)
+
+            def hist(samples):
+                h = BucketedHistogram()
+                for s in samples:
+                    h.record(s)
+                return h
+
+            ab = hist(left).merge(hist(right))
+            ba = hist(right).merge(hist(left))
+            assert ab.mean() == ba.mean(), seed
+
+
+class TestCountedRecord:
+    """``record(x, count=n)`` is ``n`` calls of ``record(x)``."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_histogram_counted_equals_repeated(self, seed):
+        rng = random.Random(seed)
+        counted, repeated = BucketedHistogram(), BucketedHistogram()
+        for _ in range(rng.randint(1, 40)):
+            value = rng.choice((rng.lognormvariate(-7.0, 1.0), 0.0, 5e-5))
+            n = rng.randint(1, 9)
+            counted.record(value, count=n)
+            for _ in range(n):
+                repeated.record(value)
+        assert _hdr_answers(counted) == _hdr_answers(repeated)
+
+    @pytest.mark.parametrize("backend", ["exact", "hdr"])
+    def test_recorder_counted_equals_repeated(self, backend):
+        rng = random.Random(3)
+        counted = LatencyRecorder(backend=backend)
+        repeated = LatencyRecorder(backend=backend)
+        for _ in range(50):
+            value = rng.expovariate(1.0 / 0.002)
+            n = rng.randint(1, 5)
+            counted.record(value, n)
+            for _ in range(n):
+                repeated.record(value)
+        # summary() holds count, mean, max and the percentiles.
+        assert counted.summary() == repeated.summary()
+        assert counted.mergeable_state() == repeated.mergeable_state()
+
+    def test_count_validated(self):
+        recorder = LatencyRecorder(backend="hdr")
+        with pytest.raises(ValueError, match="count"):
+            recorder.record(0.001, count=0)
+        assert len(recorder) == 0

@@ -42,7 +42,7 @@ def _eq(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
-def _assert_equivalent(merged, union, exact_mean=True):
+def _assert_equivalent(merged, union):
     assert len(merged) == len(union)
     assert merged.errors == union.errors
     if len(union) == 0:
@@ -50,15 +50,7 @@ def _assert_equivalent(merged, union, exact_mean=True):
         return
     for p in QUERIES:
         assert _eq(merged.percentile(p), union.percentile(p))
-    if exact_mean:
-        assert _eq(merged.mean(), union.mean())
-    else:
-        # HDR mean() accumulates floats in bucket-dict insertion order;
-        # a recorder rebuilt from canonical (bucket-sorted) state can
-        # differ from the record-order original by an ulp.  Every
-        # execution path merges from the canonical state, so paths
-        # still agree with each other bit-for-bit.
-        assert merged.mean() == pytest.approx(union.mean(), rel=1e-12)
+    assert _eq(merged.mean(), union.mean())
     assert merged.max() == union.max()
     for threshold in (0.0, 0.001, 0.002, 0.01):
         assert merged.fraction_below(threshold) == union.fraction_below(threshold)
@@ -173,7 +165,7 @@ def test_mergeable_state_round_trips_both_codecs(backend, seed):
     via_bytes = dict_from_bytes(dict_to_bytes({"s": state}))["s"]
     for transported in (state, via_json, via_bytes):
         rebuilt = LatencyRecorder.from_state(transported)
-        _assert_equivalent(rebuilt, recorder, exact_mean=(backend == "exact"))
+        _assert_equivalent(rebuilt, recorder)
         assert rebuilt.mergeable_state() == state
 
 

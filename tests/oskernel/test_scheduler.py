@@ -1,5 +1,7 @@
 """Tests for the discrete-event CPU scheduler."""
 
+import dataclasses
+
 import pytest
 
 from repro.oskernel.kernel import KERNEL_6_4, KERNEL_6_9
@@ -60,6 +62,37 @@ class TestExecute:
             list(sched.execute(-1.0))
         with pytest.raises(ValueError):
             list(sched.execute(1.0, dispatches=0))
+
+
+class TestGrantedButNotResumed:
+    """A free core is granted the instant it is requested; the burst
+    only resumes once that grant's queue entry is processed."""
+
+    def test_interrupt_before_resume_hands_core_back(self, env):
+        sched = make_scheduler(env, cores=1)
+        stats_before = dataclasses.replace(sched.stats)
+        seen = {}
+
+        def burst():
+            yield from sched.execute(1.0)
+
+        victim = env.process(burst())
+
+        def interrupter():
+            # Same instant: the victim holds the granted core but has
+            # not resumed from its request yet.
+            seen["held"] = sched.cores.count
+            seen["queued"] = sched.cores.queue_length
+            victim.interrupt("abandoned")
+            yield env.sleep(0.0)
+
+        env.process(interrupter())
+        env.run()
+        assert seen == {"held": 1, "queued": 0}
+        assert not victim.is_alive
+        assert sched.cores.count == 0
+        assert sched.stats == stats_before
+        assert env.now == 0.0
 
 
 class TestSmtInterference:

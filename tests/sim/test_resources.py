@@ -121,6 +121,32 @@ class TestResource:
         env.run()
         assert order == [0, 1, 2, 3]
 
+    def test_same_instant_requests_past_capacity(self, env):
+        """Free slots are granted in request order, each with exactly
+        the queue entry a granted waiter gets; the rest queue without
+        scheduling anything until a release hands them a slot."""
+        resource = Resource(env, capacity=2)
+        requests, scheduled = [], []
+        for _ in range(5):
+            before = env._seq
+            request = resource.request()
+            requests.append(request)
+            scheduled.append(env._seq - before)
+            if request.triggered:
+                assert env._fifo[-1] == (env.now, before, request)
+        assert scheduled == [1, 1, 0, 0, 0]
+        assert [r.triggered for r in requests] == [True] * 2 + [False] * 3
+        assert resource.count == 2 and resource.queue_length == 3
+        for granted in (2, 3, 4):
+            before = env._seq
+            resource.release(requests[granted - 2])
+            assert requests[granted].triggered
+            assert env._fifo[-1] == (env.now, before, requests[granted])
+            assert env._seq == before + 1
+        before = env._seq
+        resource.release(requests[3])  # nobody waiting: schedules nothing
+        assert env._seq == before and resource.count == 1
+
     def test_release_wrong_resource_raises(self, env):
         r1 = Resource(env)
         r2 = Resource(env)

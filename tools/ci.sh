@@ -381,7 +381,4 @@ EOF
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 
-echo "== golden traces with workload fast path (byte-identity gate) =="
-python -m pytest -x -q tests/test_golden_traces.py
-
 echo "== verify ok =="
