@@ -150,26 +150,38 @@ class CpuScheduler:
         is always kernel time.  ``dispatches`` scales the overhead for
         batched simulation (one simulated burst standing for N
         production-side dispatches).
+
+        A free core is taken inline (:meth:`Resource.claim`) when nobody
+        waits for a core and the grant would be the next event the run
+        loop processes anyway: the at-now deque is empty, the heap head
+        is strictly later than now, ``stop()`` has not been called, now
+        is strictly before the run's ``until`` bound, and the loop is not
+        fanning one event out to several callbacks.  Otherwise the burst
+        requests a core and yields until it is granted.  Both paths give
+        the same event order, RNG draws and floats.
         """
-        if user_seconds < 0 or kernel_seconds < 0:
-            raise ValueError("burst durations must be non-negative")
+        if not (user_seconds >= 0 and kernel_seconds >= 0):
+            # Also rejects NaN, before a core is claimed or stats move.
+            raise ValueError("burst durations must be non-negative numbers")
         if dispatches < 1:
             raise ValueError("dispatches must be >= 1")
         if self.offline:
             raise ServerUnavailableError(
                 "server is down (simulated crash/restart in progress)"
             )
-        request = self.cores.request()
-        try:
-            yield request
-        except BaseException:
-            # Interrupted (abandoned request / deadline) while waiting
-            # for — or at the instant of being granted — a core: hand
-            # the slot back so it cannot leak.
-            self.cores.release(request)
-            raise
+        cores = self.cores
+        if not cores.claim():
+            request = cores.request()
+            try:
+                yield request
+            except BaseException:
+                # Interrupted (abandoned request / deadline) while
+                # waiting for — or at the instant of being granted — a
+                # core: hand the slot back so it cannot leak.
+                cores.release(request)
+                raise
         # Execution speedup at the current core occupancy.
-        speedup = self._speedup_by_count[self.cores._in_use]
+        speedup = self._speedup_by_count[cores._in_use]
         overhead = self.dispatch_overhead_seconds * dispatches
         duration = (user_seconds + kernel_seconds) / speedup + overhead
         duration *= self.fault_slowdown
@@ -181,7 +193,9 @@ class CpuScheduler:
         try:
             yield self.env.sleep(duration)
         finally:
-            self.cores.release(request)
+            # The core is held either way: claimed, or granted to the
+            # request.
+            cores.release_claim()
             self.stats.busy_seconds += duration
             self.stats.kernel_seconds += kernel_seconds
             self.stats.overhead_seconds += overhead

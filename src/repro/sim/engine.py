@@ -24,6 +24,17 @@ The hot path is deliberately allocation-lean:
   (:meth:`Environment.sleep`) are recycled through per-environment
   freelists, so a steady-state request loop allocates approximately
   zero event objects per request.
+* A resource grant that :meth:`run` would process next anyway (a free
+  CPU core, :meth:`repro.sim.resources.Resource.claim`) is taken
+  inline, with no event, queue entry or resume
+  (:meth:`Environment._grant_is_next`).  That holds only while
+  ``run`` is active, the at-now deque is empty, the heap head is
+  strictly later than ``now``, ``stop()`` has not been called, ``now``
+  is strictly before the run's ``until`` bound, and the loop is not
+  fanning the current event out to several callbacks.  The inline
+  grant still consumes its sequence number, so the event order, every
+  later ``(time, seq)`` key and the event count are those of the queued
+  grant.
 """
 
 from __future__ import annotations
@@ -154,8 +165,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -339,6 +350,11 @@ class Environment:
         self._fifo: "deque[Tuple[float, int, Event]]" = deque()
         self._seq = 0
         self._stopped = False
+        #: The active :meth:`run`'s bound (``-inf`` outside ``run``, so
+        #: :meth:`step` never grants inline) and whether its loop is
+        #: fanning one event out to several callbacks.
+        self._until = float("-inf")
+        self._fanout = False
         self._resume_pool: List[_Resume] = []
         self._timeout_pool: List[_PooledTimeout] = []
 
@@ -359,8 +375,8 @@ class Environment:
         (``yield env.sleep(d)``).  Steady-state loops built on ``sleep``
         allocate no event objects at all.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         pool = self._timeout_pool
         if pool:
             entry = pool.pop()
@@ -380,10 +396,6 @@ class Environment:
         """Start a new process from a generator."""
         return Process(self, generator)
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._queue, (self.now + delay, self._seq, event))
-        self._seq += 1
-
     def _schedule_resume(
         self, callback: Callable[[Event], None], ok: bool, value: Any
     ) -> _Resume:
@@ -399,6 +411,15 @@ class Environment:
         self._fifo.append((self.now, self._seq, entry))
         self._seq += 1
         return entry
+
+    def _grant_is_next(self) -> bool:
+        """True if an entry scheduled at ``now`` would be the very next
+        one :meth:`run` processes, with nothing run in between."""
+        if self._fifo or self._fanout or self._stopped:
+            return False
+        now = self.now
+        queue = self._queue
+        return now < self._until and (not queue or queue[0][0] > now)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -474,6 +495,9 @@ class Environment:
             bound = float("inf")
         bound_seq = self._seq
         self._stopped = False
+        saved = self._until, self._fanout
+        self._until = bound
+        self._fanout = False
         queue = self._queue
         fifo = self._fifo
         popleft = fifo.popleft
@@ -524,8 +548,10 @@ class Environment:
                         callbacks[0](event)
                         callbacks.clear()
                     elif callbacks:
+                        self._fanout = True
                         for callback in callbacks:
                             callback(event)
+                        self._fanout = False
                         callbacks.clear()
                     event._value = None
                     if len(resume_pool) < pool_limit:
@@ -536,8 +562,10 @@ class Environment:
                         callbacks[0](event)
                         callbacks.clear()
                     elif callbacks:
+                        self._fanout = True
                         for callback in callbacks:
                             callback(event)
+                        self._fanout = False
                         callbacks.clear()
                     if len(timeout_pool) < pool_limit:
                         timeout_pool.append(event)
@@ -547,8 +575,10 @@ class Environment:
                     if len(callbacks) == 1:
                         callbacks[0](event)
                     elif callbacks:
+                        self._fanout = True
                         for callback in callbacks:
                             callback(event)
+                        self._fanout = False
                     elif not event._ok:
                         # A failed event nobody waited on: surface it.
                         raise event._value
@@ -556,6 +586,8 @@ class Environment:
                     return
         except StopSimulation:
             return
+        finally:
+            self._until, self._fanout = saved
         # Queue drained before the bound: a bounded run still ends with
         # the clock at ``until`` (the sentinel used to guarantee this).
         if until is not None:

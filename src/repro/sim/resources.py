@@ -173,6 +173,26 @@ class Resource:
         """Claim a slot; the returned event fires once granted."""
         return ResourceRequest(self)
 
+    def claim(self) -> bool:
+        """Take a free slot without a request event, if nobody waits and
+        the engine would process the grant next anyway.
+
+        The claim consumes the grant's sequence number, so a caller that
+        carries on without yielding replays the queued grant event for
+        event.  On False nothing was taken: use :meth:`request`.  Return
+        a claimed slot with :meth:`release_claim`.
+        """
+        env = self.env
+        if (
+            self._waiters
+            or self._in_use >= self.capacity
+            or not env._grant_is_next()
+        ):
+            return False
+        self._in_use += 1
+        env._seq += 1
+        return True
+
     def release(self, request: ResourceRequest) -> None:
         """Return a previously granted slot."""
         if request.resource is not self:
@@ -184,6 +204,10 @@ class Resource:
             except ValueError:
                 pass
             return
+        self.release_claim()
+
+    def release_claim(self) -> None:
+        """Return a slot taken by :meth:`claim` (or a granted request)."""
         self._in_use -= 1
         if self._in_use < 0:
             raise RuntimeError("resource released more times than acquired")

@@ -23,6 +23,7 @@ from repro.exec.serialize import (
     report_to_bytes,
     report_to_dict,
 )
+from repro.exec.shard import expand_shards, merge_shard_payloads
 from repro.exec.spec import RunPoint
 
 GOLDEN_PATH = os.path.join(
@@ -34,6 +35,14 @@ def _golden_cases():
     with open(GOLDEN_PATH) as fh:
         goldens = json.load(fh)
     return sorted(goldens.items())
+
+
+def _golden_payload(point):
+    """The payload ``execute_point`` decodes: merged for a sharded run."""
+    if point.shards > 1:
+        payloads = [_run_point_payload(sub) for sub in expand_shards(point)]
+        return merge_shard_payloads(point, payloads)
+    return _run_point_payload(point)
 
 
 def _typed(value):
@@ -65,7 +74,7 @@ class TestGoldenRoundTrips:
     )
     def test_golden_payload_round_trips(self, case, entry):
         point = RunPoint.from_dict(entry["point"])
-        payload = _run_point_payload(point)
+        payload = _golden_payload(point)
         decoded = dict_from_bytes(dict_to_bytes(payload))
         assert decoded == payload
         # Equality alone tolerates 1 == 1.0; the canonical JSON and the

@@ -44,6 +44,20 @@ class TestTimeout:
         with pytest.raises(ValueError):
             Timeout(env, -1.0)
 
+    def test_nan_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        with pytest.raises(ValueError):
+            env.sleep(float("nan"))
+        with pytest.raises(ValueError):
+            env.sleep(-1.0)
+        assert env._seq == 0 and env.peek() == float("inf")
+
+    def test_infinite_delay_accepted(self, env):
+        env.timeout(float("inf"))
+        env.sleep(float("inf"))
+        assert env.peek() == float("inf") and env._seq == 2
+
     def test_fires_at_scheduled_time(self, env):
         fired = []
         t = env.timeout(5.0, value="done")

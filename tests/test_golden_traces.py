@@ -8,8 +8,10 @@ to digests recorded *before* the sim-engine fast path landed.
 These digests pin the simulator's observable behavior: any engine,
 load-generator, or runner change that perturbs event ordering, RNG
 draw order, or float arithmetic shows up here as a digest mismatch.
-Early termination is explicitly disabled (``early_stop=False``) so the
-measured window matches the pre-fast-path engine exactly.
+Early termination is disabled (``early_stop=False``) so the measured
+window matches the pre-fast-path engine exactly, except in
+``taobench+early_stop``, which pins a converged, stopped run.
+``taobench+shards2`` pins a two-shard merge.
 
 Regenerate (only when an *intentional* model/behavior change lands)::
 
@@ -27,6 +29,7 @@ import pytest
 
 from repro.exec.executor import execute_point
 from repro.exec.spec import RunPoint
+from repro.sim.engine import Environment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
 
@@ -54,7 +57,7 @@ FAULT_SCENARIOS = [
 ]
 
 
-def _make_point(benchmark: str, faults: str = "") -> RunPoint:
+def _make_point(benchmark: str, faults: str = "", **overrides) -> RunPoint:
     """A short, fully pinned run; early termination off when supported."""
     kwargs = dict(
         benchmark=benchmark,
@@ -66,6 +69,7 @@ def _make_point(benchmark: str, faults: str = "") -> RunPoint:
     )
     if any(f.name == "early_stop" for f in fields(RunPoint)):
         kwargs["early_stop"] = False
+    kwargs.update(overrides)
     return RunPoint(**kwargs)
 
 
@@ -100,6 +104,16 @@ def golden_points():
             _make_point("llmbench-chat", faults="overload_shed"),
         )
     )
+    # A converging run that stops early (at 0.34 simulated seconds of
+    # 3.0): the only case where ``Environment.stop`` ends a run mid-way.
+    cases.append(
+        (
+            "taobench+early_stop",
+            _make_point("taobench", measure_seconds=3.0, early_stop=True),
+        )
+    )
+    # The same run split over two shard environments and merged.
+    cases.append(("taobench+shards2", _make_point("taobench", shards=2)))
     return cases
 
 
@@ -131,6 +145,15 @@ def test_report_matches_golden_digest(case, point):
         "observable behavior changed — if intentional, regenerate the "
         "goldens; otherwise the fast path broke determinism."
     )
+
+
+@pytest.mark.parametrize("case", ["llmbench-chat", "taobench+overload_shed"])
+def test_queued_core_grants_match_golden_digest(case, monkeypatch):
+    """With every burst forced onto the queued core grant (the reference
+    for the inline grant), the reports are still the goldens."""
+    monkeypatch.setattr(Environment, "_grant_is_next", lambda self: False)
+    point = dict(golden_points())[case]
+    assert report_digest(point) == _load_goldens()[case]["digest"]
 
 
 def test_goldens_cover_every_workload_and_scenario():

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 verification: the full unit suite, the benchmark's own tests,
-# and smoke sweeps.
+# its seed-7 reference digests, and smoke sweeps.
 #
 # The run cache is pointed at a throwaway directory so CI results can
 # never leak into (or be served from) a developer's ~/.cache, and the
@@ -25,6 +25,12 @@ python -m pytest -x -q
 # call, SweepStats keys, the ledger); its own tests fail if one goes.
 echo "== benchmark tests (bench/) =="
 python -m pytest -q bench
+
+# pytest bench's quick run uses seed 13, which skips the reference
+# table; this pass runs all four workloads at the default seed 7 and
+# exits non-zero if any point's report differs from bench/reference.json.
+echo "== benchmark reference digests (bench run --quick, seed 7) =="
+python -m bench run --quick
 
 echo "== parallel smoke sweep (2 points, 2 workers) =="
 python - <<'EOF'
