@@ -13,7 +13,3 @@ class BenchmarkNotFoundError(DCPerfError):
 
 class HookError(DCPerfError):
     """Raised when a hook fails during a benchmark run."""
-
-
-class ConfigurationError(DCPerfError):
-    """Raised on invalid run configuration."""

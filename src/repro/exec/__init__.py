@@ -15,8 +15,8 @@ package makes every sweep in the repo parallel and memoized:
   runs points in-process or on the warm pool, and merges results back
   in spec order so parallel output is identical to serial.
 * :class:`~repro.exec.workerpool.WarmPool` — a process-global pool of
-  persistent, fingerprint-keyed worker processes that send binary-
-  encoded results back over their pipes; repeated sweeps reuse warm
+  persistent, fingerprint-keyed worker processes that send pickled
+  report payloads back over their pipes; repeated sweeps reuse warm
   workers.
 * :mod:`repro.exec.schedule` — cost-model-driven scheduling: a
   persistent :class:`~repro.exec.schedule.CostLedger` of measured
@@ -34,17 +34,11 @@ from repro.exec.executor import (
     auto_workers,
     execute_point,
 )
-from repro.exec.schedule import CostLedger, ledger_for_cache, order_lpt
-from repro.exec.serialize import (
-    report_from_bytes,
-    report_from_dict,
-    report_to_bytes,
-    report_to_dict,
-)
+from repro.exec.schedule import CostLedger, order_lpt
+from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import (
     RunPoint,
     code_fingerprint,
-    expand_grid,
     model_fingerprint,
     pool_key,
     run_fingerprint,
@@ -63,15 +57,11 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "execute_point",
-    "expand_grid",
     "get_warm_pool",
-    "ledger_for_cache",
     "order_lpt",
     "model_fingerprint",
     "pool_key",
-    "report_from_bytes",
     "report_from_dict",
-    "report_to_bytes",
     "report_to_dict",
     "run_fingerprint",
     "shutdown_warm_pool",

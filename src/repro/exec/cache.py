@@ -43,6 +43,31 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "dcperf-repro")
 
 
+def write_json_atomic(path: str, payload: object) -> None:
+    """Write ``payload`` as JSON to ``path`` via a temp file and a rename.
+
+    Readers see the old file or the new one, never half of either.
+    The temp file sits next to ``path`` (named ``.tmp-*``, which cache
+    listings skip) and is removed on any failure, interrupts included.
+    ``OSError`` propagates: each caller decides how to degrade.
+    """
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=".tmp-", suffix=".json"
+    )
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 def cache_enabled() -> bool:
     return os.environ.get(CACHE_ENABLE_ENV, "1").strip().lower() not in (
         "0",
@@ -160,21 +185,9 @@ class RunCache:
             "report": payload,
         }
         path = self._path(fingerprint)
-        tmp_path: Optional[str] = None
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp_path, path)
+            write_json_atomic(path, entry)
         except OSError as exc:
-            if tmp_path is not None:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
             self.disabled = True
             warnings.warn(
                 f"run cache write to {self.directory!r} failed ({exc}); "
@@ -183,13 +196,6 @@ class RunCache:
                 stacklevel=2,
             )
             return None
-        except BaseException:
-            if tmp_path is not None:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-            raise
         return path
 
     def _entry_paths(self):

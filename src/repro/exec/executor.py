@@ -19,7 +19,7 @@ in-process (no pool, plain stack traces — the debuggable path).
 Anything higher fans out over the process-global
 :class:`~repro.exec.workerpool.WarmPool` of persistent workers —
 repeated sweeps reuse already-warm processes, and each result comes
-back binary-encoded over its worker's pipe.  Either way pending points
+back pickled over its worker's pipe.  Either way pending points
 run longest-predicted-first (:mod:`repro.exec.schedule`).  A pooled
 point that times out or loses its worker is re-run in-process.
 
@@ -53,7 +53,7 @@ from typing import (
 )
 
 from repro.exec.cache import RunCache, cache_from_env
-from repro.exec.schedule import CostLedger, ledger_for_cache, order_lpt
+from repro.exec.schedule import CostLedger, order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import RunPoint, run_fingerprint
 
@@ -225,8 +225,8 @@ class SweepExecutor:
         )
         #: Runtime cost ledger: persisted next to the run cache (or
         #: in-memory only when the sweep is cache-less).
-        self.ledger = ledger if ledger is not None else ledger_for_cache(
-            self.cache
+        self.ledger = ledger if ledger is not None else CostLedger(
+            self.cache.directory if self.cache is not None else None
         )
         self.last_stats: Optional[SweepStats] = None
         #: Live progress of the current/most recent sweep (see

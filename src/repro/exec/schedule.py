@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.cache import LEDGER_FILENAME
+from repro.exec.cache import LEDGER_FILENAME, write_json_atomic
 from repro.exec.spec import RunPoint, cost_class
 
 #: Predictor signature used by the executor and warm pool:
@@ -148,21 +147,9 @@ class CostLedger:
             "by_fingerprint": disk_fp,
             "by_class": disk_class,
         }
-        tmp_path: Optional[str] = None
         try:
-            os.makedirs(self.directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-ledger-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp_path, self.path)
+            write_json_atomic(self.path, payload)
         except OSError as exc:
-            if tmp_path is not None:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
             warnings.warn(
                 f"cost ledger write to {self.directory!r} failed ({exc}); "
                 "runtime history will not persist for this process",
@@ -266,11 +253,6 @@ class CostLedger:
         for row in out.values():
             row["mean_s"] = row["total_s"] / row["count"] if row["count"] else 0.0
         return out
-
-
-def ledger_for_cache(cache) -> CostLedger:
-    """The sidecar ledger for a run cache (in-memory when cache-less)."""
-    return CostLedger(cache.directory if cache is not None else None)
 
 
 def order_lpt(

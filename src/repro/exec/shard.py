@@ -13,9 +13,9 @@ The merge (:func:`merge_shard_payloads`) is the load-bearing half:
 * **Latency** merges *recorder state*, not summaries — every shard ships
   its full :meth:`~repro.loadgen.recorder.LatencyRecorder.mergeable_state`
   (sorted samples or HDR bucket counts), so the merged percentiles are
-  exactly those of the union sample stream.  Workloads that assemble
-  results without the harness fall back to a completion-weighted
-  summary merge.
+  exactly those of the union sample stream.  Only workloads that run
+  the open-loop harness can be sharded: any other workload runs its
+  whole job in every shard, so its merge is refused.
 * **Counters add** (throughput, I/O traffic, resilience/shed counts,
   fault events): the fleet did the sum of what its shards did.
 * **Utilizations and rates average**, weighted by shard completions —
@@ -32,7 +32,7 @@ warm-pool execution paths.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.exec.spec import RunPoint, shard_seed
 from repro.loadgen.recorder import LatencyRecorder
@@ -144,39 +144,15 @@ def _shard_weights(results: Sequence[Dict[str, object]]) -> List[float]:
 def _merge_latency(results: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """Latency summary of the union sample stream.
 
-    Preferred path: every shard shipped recorder state
-    (``extra["shard_latency"]``), so reconstructing and merging the
-    recorders gives *exact* union percentiles.  Fallback (workloads
-    that assemble results without ``run_open_loop``): counts add, max
-    is the max, the remaining stats are count-weighted means of the
-    shard summaries.
+    Every shard shipped recorder state (``extra["shard_latency"]``), so
+    reconstructing and merging the recorders gives *exact* union
+    percentiles.
     """
-    states = [r["extra"].get(SHARD_LATENCY_KEY) for r in results]
-    if all(state is not None for state in states):
-        merged = LatencyRecorder.from_state(states[0])
-        for state in states[1:]:
-            merged.merge(LatencyRecorder.from_state(state))
-        return merged.summary()
-
-    summaries = [dict(r["latency"]) for r in results]
-    counts = [float(s.get("count", 0)) for s in summaries]
-    errors = sum(int(s.get("errors", 0)) for s in summaries)
-    total = sum(counts)
-    if total <= 0:
-        return {"count": 0, "errors": errors}
-    out: Dict[str, object] = {}
-    for key in summaries[0]:
-        if key == "count":
-            out[key] = int(total)
-        elif key == "errors":
-            out[key] = errors
-        elif key == "max":
-            out[key] = max(float(s.get(key, 0.0)) for s in summaries)
-        else:
-            out[key] = _weighted_mean(
-                [float(s.get(key, 0.0)) for s in summaries], counts
-            )
-    return out
+    states = [r["extra"][SHARD_LATENCY_KEY] for r in results]
+    merged = LatencyRecorder.from_state(states[0])
+    for state in states[1:]:
+        merged.merge(LatencyRecorder.from_state(state))
+    return merged.summary()
 
 
 def _merge_tree(
@@ -314,6 +290,14 @@ def merge_shard_payloads(
             f"got {len(payloads)}"
         )
     results = [payload["result"] for payload in payloads]
+    if any(SHARD_LATENCY_KEY not in r["extra"] for r in results):
+        # Only the open-loop harness splits its offered load across
+        # shards; any other workload runs the whole job in every shard,
+        # and summing their throughputs would multiply the metric by N.
+        raise ValueError(
+            f"{point.workload_name} cannot be sharded: it does not run "
+            "the open-loop harness, so its shards ship no recorder state"
+        )
     weights = _shard_weights(results)
     config = point.run_config()
 

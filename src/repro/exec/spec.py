@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict
 
 from repro.workloads.base import RunConfig
 
@@ -141,40 +141,6 @@ class RunPoint:
         return cls(**payload)  # type: ignore[arg-type]
 
 
-def expand_grid(
-    benchmarks: Sequence[str],
-    skus: Sequence[str],
-    kernels: Sequence[str] = ("6.9",),
-    seeds: Sequence[int] = (7,),
-    variant: str = "",
-    measure_seconds: float = 1.5,
-    warmup_seconds: float = 0.5,
-) -> List[RunPoint]:
-    """Cross-product of the inputs in deterministic nested order.
-
-    Ordering is (sku, kernel, seed, benchmark) outermost-first, so all
-    of one SKU's points are contiguous — the natural shape for suite
-    scoring, which groups reports per SKU.
-    """
-    points: List[RunPoint] = []
-    for sku in skus:
-        for kernel in kernels:
-            for seed in seeds:
-                for benchmark in benchmarks:
-                    points.append(
-                        RunPoint(
-                            benchmark=benchmark,
-                            sku=sku,
-                            kernel=kernel,
-                            seed=seed,
-                            variant=variant,
-                            measure_seconds=measure_seconds,
-                            warmup_seconds=warmup_seconds,
-                        )
-                    )
-    return points
-
-
 def _digest(payload: object) -> str:
     canon = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -279,14 +245,3 @@ def cost_class(point: RunPoint) -> tuple:
     """
     duration = point.warmup_seconds + point.measure_seconds
     return (point.workload_name, duration, point.shards, point.faults)
-
-
-def dedupe(points: Iterable[RunPoint]) -> List[RunPoint]:
-    """Unique points, preserving first-seen order."""
-    seen = set()
-    out: List[RunPoint] = []
-    for point in points:
-        if point not in seen:
-            seen.add(point)
-            out.append(point)
-    return out

@@ -11,10 +11,10 @@ again:
   When the source tree or calibrated parameters change, the key
   changes and stale workers self-retire on the next acquire, exactly
   mirroring the run cache's self-invalidation.
-* **Pipe transport** — workers encode each finished report with the
-  compact binary codec (:func:`repro.exec.serialize.dict_to_bytes`)
-  and send the bytes back over their worker pipe; a whole suite sweep
-  ships a few KB per report.
+* **Pipe transport** — workers pickle each finished report payload
+  (:func:`repro.exec.serialize.dict_to_bytes`) and send the bytes back
+  over their worker pipe, a few KB per report; the parent decodes them
+  with :func:`~repro.exec.serialize.dict_from_bytes`.
 * **Cost-band dispatch with affinity** — warm-setup memos (generated
   datasets, validation results, pre-warmed cache sets) live per
   process, so a worker prefers a pending point it has run before
@@ -94,7 +94,7 @@ def _decode_exc(encoded: Tuple[str, bytes]) -> BaseException:
 
 
 def _worker_main(conn) -> None:
-    """Persistent worker loop: point dicts in, binary reports out.
+    """Persistent worker loop: point dicts in, pickled payloads out.
 
     Top level (picklable) so the pool works under any multiprocessing
     start method.  The heavy imports happen once, here — that is the

@@ -11,8 +11,6 @@ aggregates the counterparts into the "Production" line.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.workloads.base import Workload
 from repro.workloads.profiles import BENCHMARK_TO_PRODUCTION, PRODUCTION_PROFILES
 
@@ -62,8 +60,3 @@ def production_workload(benchmark_name: str) -> Workload:
 
         return StorageBench(chars=chars)
     raise KeyError(f"unhandled benchmark {benchmark_name!r}")
-
-
-def production_profile_names() -> Dict[str, str]:
-    """benchmark name -> production profile name."""
-    return dict(BENCHMARK_TO_PRODUCTION)

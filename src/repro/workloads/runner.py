@@ -17,7 +17,6 @@ responsibilities:
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Generator, Optional
@@ -612,8 +611,3 @@ class InstanceSet:
             )
         finally:
             lock.release(grant)
-
-
-def poisson_thinning_rng(config: RunConfig, name: str) -> random.Random:
-    """Convenience: a named deterministic stream for a workload."""
-    return RngStreams(config.seed).spawn(name).stream("main")

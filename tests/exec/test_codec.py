@@ -1,28 +1,22 @@
-"""Binary report codec: round-trip fidelity against the dict codec.
+"""Pipe codec: round-trip fidelity against the dict codec.
 
-The warm pool ships every pooled result through
-``dict_to_bytes``/``dict_from_bytes``, so these tests are the
-byte-identity gate for that transport: every golden report must decode
-to exactly the payload the lossless dict codec produced, floats
-bit-exact, with type fidelity (ints stay ints, floats stay floats).
+The warm pool ships every pooled result over its worker's pipe as
+``dict_to_bytes``/``dict_from_bytes`` (a pickle of the payload dict),
+so these tests are the byte-identity gate for that transport: every
+golden report must decode to exactly the payload the lossless dict
+codec produced, floats bit-exact, with type fidelity (ints stay ints,
+floats stay floats).
 """
 
 import json
 import math
 import os
+import pickle
 
 import pytest
 
 from repro.exec.executor import _run_point_payload
-from repro.exec.serialize import (
-    BINARY_MAGIC,
-    dict_from_bytes,
-    dict_to_bytes,
-    report_from_bytes,
-    report_from_dict,
-    report_to_bytes,
-    report_to_dict,
-)
+from repro.exec.serialize import dict_from_bytes, dict_to_bytes
 from repro.exec.shard import expand_shards, merge_shard_payloads
 from repro.exec.spec import RunPoint
 
@@ -67,7 +61,7 @@ def _typed(value):
 
 
 class TestGoldenRoundTrips:
-    """Satellite: every golden report survives the binary codec."""
+    """Every golden report survives the pipe codec."""
 
     @pytest.mark.parametrize(
         "case,entry", _golden_cases(), ids=[c for c, _ in _golden_cases()]
@@ -83,15 +77,6 @@ class TestGoldenRoundTrips:
             payload, sort_keys=True
         )
         assert _typed(decoded) == _typed(payload)
-
-    def test_report_level_api_round_trips(self):
-        point = RunPoint(
-            benchmark="taobench", measure_seconds=0.5, warmup_seconds=0.2
-        )
-        report = report_from_dict(_run_point_payload(point))
-        via_bytes = report_from_bytes(report_to_bytes(report))
-        assert via_bytes.as_dict() == report.as_dict()
-        assert report_to_dict(via_bytes) == report_to_dict(report)
 
 
 class TestValueFidelity:
@@ -148,36 +133,7 @@ class TestValueFidelity:
 
 
 class TestFraming:
-    def test_magic_prefix(self):
-        data = dict_to_bytes({})
-        assert data.startswith(BINARY_MAGIC)
-
-    def test_rejects_bad_magic(self):
-        with pytest.raises(ValueError, match="bad magic"):
-            dict_from_bytes(b"JSON" + dict_to_bytes({})[4:])
-
-    def test_rejects_trailing_bytes(self):
-        with pytest.raises(ValueError, match="trailing"):
-            dict_from_bytes(dict_to_bytes({}) + b"\x00")
-
     def test_rejects_non_dict_root(self):
-        from repro.exec.serialize import _encode_value
-
-        out = bytearray(BINARY_MAGIC)
-        _encode_value(out, [1, 2, 3])
+        data = pickle.dumps([1, 2, 3], protocol=pickle.HIGHEST_PROTOCOL)
         with pytest.raises(ValueError, match="did not decode to a dict"):
-            dict_from_bytes(bytes(out))
-
-    def test_rejects_unencodable_types(self):
-        with pytest.raises(TypeError, match="cannot encode"):
-            dict_to_bytes({"x": object()})
-        with pytest.raises(TypeError, match="str dict keys"):
-            dict_to_bytes({1: "x"})
-
-    def test_binary_smaller_than_json(self):
-        """Sanity: the compact form actually is compact for a report."""
-        point = RunPoint(
-            benchmark="taobench", measure_seconds=0.5, warmup_seconds=0.2
-        )
-        payload = _run_point_payload(point)
-        assert len(dict_to_bytes(payload)) < len(json.dumps(payload).encode())
+            dict_from_bytes(data)

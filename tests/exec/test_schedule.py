@@ -129,6 +129,21 @@ class TestCostLedger:
         assert ledger.predict(point, run_fingerprint(point)) == 1.0
         assert ledger.save() is None
 
+    def test_interrupted_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """An interrupt mid-write removes the temp file: cache listings
+        skip ``.tmp-*`` names, so a leaked one would never be reclaimed."""
+        ledger = CostLedger(str(tmp_path))
+        point = fast_point()
+        ledger.record(run_fingerprint(point), point, 1.0)
+
+        def interrupted_dump(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            ledger.save()
+        assert list(tmp_path.glob(".tmp-*")) == []
+
     def test_cold_ledger_prices_simulated_seconds(self):
         """No per-workload rate table: every workload, clean or
         faulted, costs its warmup plus measure window, and a shard

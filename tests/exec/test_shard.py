@@ -149,6 +149,14 @@ class TestShardMerge:
         merged = execute_point(parent)
         assert merged.result.latency == union.summary()
 
+    @pytest.mark.parametrize("workload", ["sparkbench", "videotranscode"])
+    def test_refuses_workload_without_open_loop_harness(self, workload):
+        """A workload outside the open-loop harness runs its whole job
+        in every shard: summing the shard metrics would report N times
+        the unsharded value, so the merge refuses it."""
+        with pytest.raises(ValueError, match=workload):
+            execute_point(fast_point(workload, shards=2))
+
 
 class TestShardExecution:
     def test_byte_identity_across_paths(self):

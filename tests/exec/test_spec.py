@@ -5,8 +5,6 @@ import pytest
 from repro.exec.spec import (
     RunPoint,
     code_fingerprint,
-    dedupe,
-    expand_grid,
     model_fingerprint,
     run_fingerprint,
 )
@@ -58,29 +56,6 @@ class TestRunPoint:
             point.sku = "SKU4"
 
 
-class TestExpandGrid:
-    def test_count_and_order(self):
-        points = expand_grid(
-            benchmarks=["a", "b"],
-            skus=["SKU1", "SKU2"],
-            kernels=["6.4", "6.9"],
-            seeds=[1, 2],
-        )
-        assert len(points) == 2 * 2 * 2 * 2
-        # SKU outermost: the first half is all SKU1.
-        assert all(p.sku == "SKU1" for p in points[:8])
-        assert all(p.sku == "SKU2" for p in points[8:])
-        # Benchmark innermost: adjacent points alternate benchmarks.
-        assert [p.benchmark for p in points[:4]] == ["a", "b", "a", "b"]
-
-    def test_forwards_window(self):
-        (point,) = expand_grid(
-            ["a"], ["SKU1"], measure_seconds=3.0, warmup_seconds=0.1
-        )
-        assert point.measure_seconds == 3.0
-        assert point.warmup_seconds == 0.1
-
-
 class TestFingerprints:
     def test_deterministic(self):
         point = RunPoint(benchmark="taobench")
@@ -103,13 +78,3 @@ class TestFingerprints:
         for fp in (model_fingerprint(), code_fingerprint()):
             assert len(fp) == 16
             int(fp, 16)  # valid hex
-
-
-class TestDedupe:
-    def test_preserves_first_seen_order(self):
-        a = RunPoint(benchmark="a")
-        b = RunPoint(benchmark="b")
-        assert dedupe([a, b, a, b, a]) == [a, b]
-
-    def test_empty(self):
-        assert dedupe([]) == []

@@ -159,8 +159,7 @@ def test_mergeable_state_round_trips_both_codecs(backend, seed):
     state = recorder.mergeable_state()
 
     # The state must survive both transports losslessly: the JSON text
-    # codec (cache entries, cold pool) and the binary codec (warm pool
-    # shared-memory ring).
+    # codec (run cache entries) and the pipe codec (warm pool results).
     via_json = json.loads(json.dumps(state))
     via_bytes = dict_from_bytes(dict_to_bytes({"s": state}))["s"]
     for transported in (state, via_json, via_bytes):

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: the full unit suite, the benchmark's own tests,
-# its seed-7 reference digests, and smoke sweeps.
+# the paper's tables and figures, the benchmark's seed-7 reference
+# digests, and smoke sweeps.
 #
 # The run cache is pointed at a throwaway directory so CI results can
 # never leak into (or be served from) a developer's ~/.cache, and the
@@ -25,6 +26,11 @@ python -m pytest -x -q
 # call, SweepStats keys, the ledger); its own tests fail if one goes.
 echo "== benchmark tests (bench/) =="
 python -m pytest -q bench
+
+# One file per paper table, figure or ablation.  pytest's testpaths
+# cover only tests/, so nothing else runs these.
+echo "== paper tables and figures (benchmarks/) =="
+python -m pytest -q benchmarks --benchmark-disable
 
 # pytest bench's quick run uses seed 13, which skips the reference
 # table; this pass runs all four workloads at the default seed 7 and
