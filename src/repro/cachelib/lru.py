@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 
 @dataclass
@@ -34,27 +34,20 @@ class CacheStats:
         return self.hits / self.lookups
 
 
-class _Entry:
-    """One cache node.  A plain slotted class, not a dataclass: the
-    TaoBench pre-warm allocates ~50k of these per run and the slotted
-    form is both smaller and faster to construct."""
-
-    __slots__ = ("value", "size", "expires_at")
-
-    def __init__(
-        self, value: bytes, size: int, expires_at: Optional[float] = None
-    ) -> None:
-        self.value = value
-        self.size = size
-        self.expires_at = expires_at
-
-
 class LruCache:
     """Strict-LRU cache bounded by total value bytes.
 
     ``clock`` supplies the current time for TTL decisions (inject the
     sim clock in simulations; defaults to a monotonic counter that
     never expires anything).
+
+    The store is one ``OrderedDict`` from key to value bytes, LRU first,
+    and an entry's size is ``len(value)``.  TTL deadlines live in a side
+    dict holding only the keys that have one, so a cache that never sets
+    a TTL pays one empty-dict test per lookup.  Neither structure holds
+    a per-entry Python object: bytes are not tracked by the cyclic
+    garbage collector, so a large fill (TaoBench's ~54k-entry pre-warm)
+    adds nothing for it to traverse.
     """
 
     def __init__(
@@ -66,7 +59,10 @@ class LruCache:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
         self._clock = clock or (lambda: 0.0)
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, bytes]" = OrderedDict()
+        #: Expiry time of every key set with a TTL (a subset of
+        #: ``_entries``' keys).
+        self._expires: Dict[str, float] = {}
         self._used_bytes = 0
         self.stats = CacheStats()
 
@@ -74,45 +70,43 @@ class LruCache:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        entry = self._entries.get(key)
-        if entry is None:
-            return False
-        return not self._expired(entry)
+        return key in self._entries and not self._expired(key)
 
     @property
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    def _expired(self, entry: _Entry) -> bool:
-        return entry.expires_at is not None and self._clock() >= entry.expires_at
+    def _expired(self, key: str) -> bool:
+        expires_at = self._expires.get(key)
+        return expires_at is not None and self._clock() >= expires_at
 
     def get(self, key: str) -> Optional[bytes]:
         """Return the value and refresh recency, or None on miss."""
-        entry = self._entries.get(key)
-        if entry is None:
+        value = self._entries.get(key)
+        if value is None:
             self.stats.misses += 1
             return None
-        if self._expired(entry):
+        if self._expires and self._expired(key):
             self._remove(key)
             self.stats.expirations += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return entry.value
+        return value
 
     def peek(self, key: str) -> Optional[bytes]:
         """Like :meth:`get` but without touching recency or stats."""
-        entry = self._entries.get(key)
-        if entry is None or self._expired(entry):
+        value = self._entries.get(key)
+        if value is None or (self._expires and self._expired(key)):
             return None
-        return entry.value
+        return value
 
     def set(self, key: str, value: bytes, ttl_seconds: Optional[float] = None) -> None:
         """Insert or replace; evicts LRU entries to fit.
 
-        Replacement updates the node in place (no pop/realloc), and
-        eviction runs *after* the entry sits at MRU.  Both forms evict
+        A replacement overwrites the value and moves the key to MRU,
+        and eviction runs *after* the entry sits at MRU.  That evicts
         exactly the victims the remove-then-reinsert formulation did:
         the updated/new entry is at the MRU end, so ``_evict_lru``
         pops the same LRU-ordered others, and ``used > capacity`` here
@@ -131,16 +125,17 @@ class LruCache:
                 raise ValueError("ttl_seconds must be positive")
             expires_at = self._clock() + ttl_seconds
         entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            self._used_bytes += size - entry.size
-            entry.value = bytes(value)
-            entry.size = size
-            entry.expires_at = expires_at
+        old = entries.get(key)
+        entries[key] = bytes(value)
+        if old is not None:
+            self._used_bytes += size - len(old)
             entries.move_to_end(key)
         else:
-            entries[key] = _Entry(bytes(value), size, expires_at)
             self._used_bytes += size
+        if expires_at is not None:
+            self._expires[key] = expires_at
+        elif self._expires:
+            self._expires.pop(key, None)
         while self._used_bytes > self.capacity_bytes:
             self._evict_lru()
         self.stats.sets += 1
@@ -153,12 +148,15 @@ class LruCache:
         return False
 
     def _remove(self, key: str) -> None:
-        entry = self._entries.pop(key)
-        self._used_bytes -= entry.size
+        self._used_bytes -= len(self._entries.pop(key))
+        if self._expires:
+            self._expires.pop(key, None)
 
     def _evict_lru(self) -> None:
-        key, entry = self._entries.popitem(last=False)
-        self._used_bytes -= entry.size
+        key, value = self._entries.popitem(last=False)
+        self._used_bytes -= len(value)
+        if self._expires:
+            self._expires.pop(key, None)
         self.stats.evictions += 1
 
     def load(self, items: Iterable[Tuple[str, bytes]]) -> None:
@@ -167,24 +165,30 @@ class LruCache:
         Equivalent to calling :meth:`set` once per pair — same
         insertion order, byte accounting, and ``sets`` counter — for
         fills already known to need no eviction or TTL handling (e.g.
-        replaying a memoized pre-warm).  Requires an empty cache and
-        distinct keys; raises if the items exceed capacity.
+        replaying a memoized pre-warm): one ``OrderedDict.update``.
+        Requires an empty cache and distinct keys; raises
+        ``ValueError`` on a repeated key or if the items exceed
+        capacity, leaving the cache empty.
         """
-        if self._entries:
-            raise ValueError("load() requires an empty cache")
         entries = self._entries
-        used = 0
-        count = 0
-        for key, value in items:
-            size = len(value)
-            entries[key] = _Entry(value, size)
-            used += size
-            count += 1
+        if entries:
+            raise ValueError("load() requires an empty cache")
+        items = tuple(items)
+        entries.update(items)
+        if len(entries) != len(items):
+            seen = set()
+            for key, _ in items:
+                if key in seen:
+                    break
+                seen.add(key)
+            entries.clear()
+            raise ValueError(f"load() got key {key!r} more than once")
+        used = sum(map(len, entries.values()))
         if used > self.capacity_bytes:
-            self._entries.clear()
+            entries.clear()
             raise ValueError("loaded items exceed capacity")
         self._used_bytes = used
-        self.stats.sets += count
+        self.stats.sets += len(items)
 
     def clear(self) -> int:
         """O(1) flush: drop every entry (live *and* expired) at once.
@@ -196,12 +200,13 @@ class LruCache:
         """
         count = len(self._entries)
         self._entries.clear()
+        self._expires.clear()
         self._used_bytes = 0
         return count
 
     def purge_expired(self) -> int:
         """Eagerly remove expired entries; returns the count removed."""
-        expired = [k for k, e in self._entries.items() if self._expired(e)]
+        expired = [k for k in self._expires if self._expired(k)]
         for key in expired:
             self._remove(key)
             self.stats.expirations += 1
@@ -210,5 +215,5 @@ class LruCache:
     def items_snapshot(self) -> Tuple[Tuple[str, bytes], ...]:
         """LRU-to-MRU snapshot of live entries (tests/debugging)."""
         return tuple(
-            (k, e.value) for k, e in self._entries.items() if not self._expired(e)
+            (k, v) for k, v in self._entries.items() if not self._expired(k)
         )

@@ -275,6 +275,15 @@ class Process(Event):
         Direct ``send``/``throw`` dispatch: no per-step closure, no
         intermediate ``_step`` frame.  This is the single hottest
         function in the simulator.
+
+        Each of the three ways the generator can end (return, unhandled
+        :class:`Interrupt`, exception) drops the cached bound
+        ``_resume_fn``.  That bound method is the process's only
+        reference to itself, so a finished process is acyclic garbage:
+        reference counting frees it when its last waiter lets go,
+        without waiting for the cyclic collector.  Nothing calls
+        ``_resume_fn`` after the end: ``interrupt`` refuses a finished
+        process and ``_deliver_interrupt`` drops a late interrupt.
         """
         self._target = None
         env = self.env
@@ -285,12 +294,14 @@ class Process(Event):
             else:
                 target = generator.throw(event._value)
         except StopIteration as stop:
+            self._resume_fn = None
             self._value = stop.value
             env._fifo.append((env.now, env._seq, self))
             env._seq += 1
             return
         except Interrupt:
             # An unhandled interrupt terminates the process quietly.
+            self._resume_fn = None
             self._value = None
             env._fifo.append((env.now, env._seq, self))
             env._seq += 1
@@ -302,7 +313,11 @@ class Process(Event):
             # waiters (joins, races, resilience retries) see it as a
             # failure.  If nobody waits on the process, the orphan rule
             # in the run loop re-raises it — an unhandled error still
-            # stops the simulation.
+            # stops the simulation.  The traceback's head is this frame,
+            # whose ``self`` would tie the exception back to the process
+            # that now holds it; it is dropped so the pair stays acyclic.
+            exc.__traceback__ = exc.__traceback__.tb_next
+            self._resume_fn = None
             self._ok = False
             self._value = exc
             env._fifo.append((env.now, env._seq, self))

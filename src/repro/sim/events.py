@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, Timeout
 
 
 def _subscribe(env: Environment, event: Event, callback) -> None:
@@ -64,23 +64,43 @@ def any_of(env: Environment, events: Sequence[Event]) -> Event:
 
     Its value is ``(index, value)`` of the winner.  A failing first
     input fails the combinator.
+
+    On resolving, the combinator takes its callback back off every
+    input that is a still-pending :class:`Timeout`, so a lost deadline
+    or hedge timer waits out its delay in the heap without holding the
+    combinator's closures and result event.  A timeout cannot fail, so
+    this never hides an error from the run loop's orphan-failure rule.
+    Other losing inputs, processes among them, keep their callback;
+    it ignores them when they fire.
     """
     events = list(events)
     if not events:
         raise ValueError("any_of needs at least one event")
     result = Event(env)
+    #: ``(timer, callback)`` for each input Timeout not yet processed.
+    timers = []
 
     def make_callback(index: int):
         def on_fire(event: Event) -> None:
             if result.triggered:
                 return
-            if not event.ok:
+            if event.ok:
+                result.succeed((index, event.value))
+            else:
                 result.fail(event.value)
-                return
-            result.succeed((index, event.value))
+            # Drained, not walked: the list holds these very closures,
+            # so emptying it also leaves no reference cycle behind.
+            while timers:
+                timer, callback = timers.pop()
+                pending = timer.callbacks
+                if pending is not None:
+                    pending.remove(callback)
 
         return on_fire
 
     for index, event in enumerate(events):
-        _subscribe(env, event, make_callback(index))
+        callback = make_callback(index)
+        if type(event) is Timeout and event.callbacks is not None:
+            timers.append((event, callback))
+        _subscribe(env, event, callback)
     return result

@@ -1,9 +1,12 @@
 """Tests for the byte-bounded LRU cache."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cachelib.lru import LruCache
+from repro.cachelib.lru import CacheStats, LruCache
 
 
 class TestBasics:
@@ -166,6 +169,36 @@ class TestClearAndLoad:
             cache.load([("a", b"x" * 6), ("b", b"x" * 6)])
         assert len(cache) == 0  # failed load leaves the cache empty
 
+    @pytest.mark.parametrize(
+        "capacity,items",
+        [
+            (100, [("a", b"xx"), ("a", b"yyy")]),  # would miscount bytes
+            (4, [("a", b"xxx"), ("a", b"yy")]),  # would be refused as too big
+        ],
+    )
+    def test_load_rejects_repeated_key(self, capacity, items):
+        cache = LruCache(capacity)
+        with pytest.raises(ValueError, match="'a'"):
+            cache.load([("b", b"v")] + items)
+        assert len(cache) == 0
+        assert cache.used_bytes == 0
+        assert cache.stats.sets == 0
+
+    def test_load_adds_no_tracked_object_per_entry(self):
+        items = tuple((f"k{i}", b"x" * (i % 7 + 1)) for i in range(1000))
+        cache = LruCache(10_000)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            cache.load(items)
+            after = len(gc.get_objects())
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(cache) == 1000
+        assert after - before < 10
+
 
 class TestTtlRacingEviction:
     def test_expired_entry_evicted_under_pressure_counts_once(self):
@@ -193,3 +226,156 @@ class TestTtlRacingEviction:
         clock[0] = 100.0
         assert cache.get("k") == b"newval"
         assert cache.used_bytes == 6
+
+
+class _ReferenceLru:
+    """The LRU contract as an ordered list of ``(key, value, expires_at)``,
+    LRU first: the slow, obvious model :class:`LruCache` must match.
+    It mirrors the cache's interface so one test loop can call both."""
+
+    def __init__(self, capacity, clock):
+        self.capacity = capacity
+        self.clock = clock
+        self.entries = []
+        self.stats = CacheStats()
+
+    def _find(self, key):
+        for i, entry in enumerate(self.entries):
+            if entry[0] == key:
+                return i
+        return None
+
+    def _expired(self, entry):
+        return entry[2] is not None and self.clock() >= entry[2]
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __contains__(self, key):
+        i = self._find(key)
+        return i is not None and not self._expired(self.entries[i])
+
+    @property
+    def used_bytes(self):
+        return sum(len(value) for _, value, _ in self.entries)
+
+    def get(self, key):
+        i = self._find(key)
+        if i is None:
+            self.stats.misses += 1
+            return None
+        entry = self.entries.pop(i)
+        if self._expired(entry):
+            self.stats.expirations += 1
+            self.stats.misses += 1
+            return None
+        self.entries.append(entry)
+        self.stats.hits += 1
+        return entry[1]
+
+    def peek(self, key):
+        i = self._find(key)
+        if i is None or self._expired(self.entries[i]):
+            return None
+        return self.entries[i][1]
+
+    def set(self, key, value, ttl_seconds=None):
+        if len(value) > self.capacity:
+            raise ValueError("too big")
+        i = self._find(key)
+        if i is not None:
+            del self.entries[i]
+        expires_at = None if ttl_seconds is None else self.clock() + ttl_seconds
+        self.entries.append((key, value, expires_at))
+        while self.used_bytes > self.capacity:
+            self.entries.pop(0)
+            self.stats.evictions += 1
+        self.stats.sets += 1
+
+    def delete(self, key):
+        i = self._find(key)
+        if i is None:
+            return False
+        del self.entries[i]
+        return True
+
+    def purge_expired(self):
+        live = [e for e in self.entries if not self._expired(e)]
+        removed = len(self.entries) - len(live)
+        self.entries = live
+        self.stats.expirations += removed
+        return removed
+
+    def clear(self):
+        count = len(self.entries)
+        self.entries = []
+        return count
+
+    def load(self, items):
+        keys = [key for key, _ in items]
+        if (
+            self.entries
+            or len(set(keys)) != len(keys)
+            or sum(len(v) for _, v in items) > self.capacity
+        ):
+            raise ValueError("bad load")
+        self.entries = [(key, value, None) for key, value in items]
+        self.stats.sets += len(items)
+
+    def items_snapshot(self):
+        return tuple((e[0], e[1]) for e in self.entries if not self._expired(e))
+
+
+class TestDifferential:
+    """Seeded random operation mixes against the reference model.  No
+    workload sets a TTL, so this is what covers the TTL paths."""
+
+    KEYS = [f"k{i}" for i in range(6)]
+    CAPACITY = 24
+
+    def _op(self, rng):
+        """One ``(method name, args)``; ``advance`` moves the clock."""
+        keys = self.KEYS
+        kind = rng.choice(
+            ["set", "set", "set_ttl", "get", "get", "peek", "delete",
+             "__contains__", "advance", "advance", "purge_expired", "clear",
+             "load"]
+        )
+        if kind in ("set", "set_ttl"):
+            size = rng.randint(1, self.CAPACITY + 2)  # a few are too big
+            value = bytes([rng.randrange(256)]) * size
+            ttl = rng.choice([0.5, 1.0, 2.5]) if kind == "set_ttl" else None
+            return "set", (rng.choice(keys), value, ttl)
+        if kind in ("get", "peek", "delete", "__contains__"):
+            return kind, (rng.choice(keys),)
+        if kind == "advance":
+            return kind, (rng.choice([0.25, 0.5, 1.0, 3.0]),)
+        if kind == "load":
+            picked = [rng.choice(keys) for _ in range(rng.randint(0, 4))]
+            return kind, ([(k, b"L" * rng.randint(1, 9)) for k in picked],)
+        return kind, ()
+
+    @staticmethod
+    def _call(target, name, args):
+        try:
+            return getattr(target, name)(*args)
+        except ValueError:
+            return "ValueError"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_reference_model(self, seed):
+        rng = random.Random(seed)
+        clock = [0.0]
+        cache = LruCache(self.CAPACITY, clock=lambda: clock[0])
+        model = _ReferenceLru(self.CAPACITY, lambda: clock[0])
+        for step in range(300):
+            name, args = self._op(rng)
+            if name == "advance":
+                clock[0] += args[0]
+            else:
+                got = self._call(cache, name, args)
+                assert got == self._call(model, name, args), (step, name, args)
+            assert cache.stats == model.stats, (step, name, args)
+            assert len(cache) == len(model), (step, name, args)
+            assert cache.used_bytes == model.used_bytes, (step, name, args)
+            assert cache.items_snapshot() == model.items_snapshot(), (step, name)

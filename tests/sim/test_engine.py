@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from repro.sim.engine import (
     Environment,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Timeout,
 )
@@ -168,6 +171,70 @@ class TestProcess:
     def test_requires_generator(self, env):
         with pytest.raises(TypeError):
             env.process(lambda: None)
+
+
+class TestProcessTeardown:
+    """A finished process is acyclic, so reference counting frees it
+    without the cyclic collector."""
+
+    def test_finished_processes_are_not_cyclic(self):
+        def returns():
+            yield env.timeout(1.0)
+            return "done"
+
+        def raises():
+            yield env.timeout(1.0)
+            raise RuntimeError("boom")
+
+        def waiter():
+            try:
+                yield env.process(raises())
+            except RuntimeError as exc:
+                caught.append(str(exc))
+
+        def sleeper():
+            yield env.timeout(100.0)
+
+        def interrupter():
+            yield env.timeout(2.0)
+            victim.interrupt("first")
+            victim.interrupt("late")
+
+        codes = {f.__code__ for f in (returns, raises, waiter, sleeper, interrupter)}
+
+        def ours():
+            return [
+                o
+                for o in gc.get_objects()
+                if isinstance(o, Process) and o._generator.gi_code in codes
+            ]
+
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            env = Environment()
+            caught = []
+            done = env.process(returns())
+            env.process(waiter())
+            victim = env.process(sleeper())
+            env.process(interrupter())
+            env.run()
+            assert done.value == "done"
+            assert caught == ["boom"]
+            # The first interrupt ended the sleeper; the late one was dropped.
+            assert not victim.is_alive and victim.value is None
+            with pytest.raises(SimulationError):
+                victim.interrupt()
+            with pytest.raises(SimulationError):
+                done.interrupt()
+            # Only the two the test still holds are left.
+            assert sorted(map(id, ours())) == sorted(map(id, (done, victim)))
+            del done, victim, env
+            assert ours() == []
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestEnvironment:

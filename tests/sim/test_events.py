@@ -112,6 +112,91 @@ class TestAnyOf:
         env.run()
         assert caught == [0.0]
 
+    def test_resolving_releases_pending_timer(self, env):
+        def quick():
+            yield env.timeout(0.5)
+            return "fast"
+
+        timer = env.timeout(1.0, value="deadline")
+        race = any_of(env, [env.process(quick()), timer])
+        env.run(until=0.75)
+        assert race.value == (0, "fast")
+        assert timer.callbacks == []
+        env.run()
+        assert timer.processed
+
+    def test_failure_resolution_releases_pending_timer(self, env):
+        bad = env.event()
+        timer = env.timeout(1.0)
+        race = any_of(env, [bad, timer])
+        bad.fail(RuntimeError("boom"))
+        race.callbacks.append(lambda event: None)  # a waiter takes the failure
+        env.run(until=0.5)
+        assert not race.ok and str(race.value) == "boom"
+        assert timer.callbacks == []
+
+    def test_timer_wins_race(self, env):
+        log = []
+
+        def slow():
+            yield env.timeout(2.0)
+            log.append(("slow", env.now))
+
+        def racer():
+            deadline = env.timeout(1.0, "deadline")
+            winner = yield any_of(env, [env.process(slow()), deadline])
+            log.append((winner, env.now))
+
+        env.process(racer())
+        env.run()
+        assert log == [((1, "deadline"), 1.0), ("slow", 2.0)]
+
+    def test_losing_process_keeps_its_callback(self, env):
+        """A losing process that fails later has a waiter, so the run
+        loop's orphan-failure rule does not raise."""
+
+        def doomed():
+            yield env.timeout(2.0)
+            raise RuntimeError("late failure")
+
+        proc = env.process(doomed())
+        race = any_of(env, [proc, env.timeout(1.0, "deadline")])
+        env.run()
+        assert race.value == (1, "deadline")
+        assert not proc.ok and env.now == 2.0
+
+    def test_timer_raced_in_turn_keeps_later_callback(self, env):
+        """The hedge path: a deadline raced by one ``any_of`` and then,
+        after that one resolved, by another that the deadline wins."""
+        log = []
+
+        def work(delay):
+            yield env.timeout(delay)
+            return delay
+
+        def attempt():
+            deadline = env.timeout(1.0, "deadline")
+            first = yield any_of(env, [env.process(work(0.25)), deadline])
+            log.append((first, len(deadline.callbacks)))
+            second = any_of(env, [env.process(work(5.0)), deadline])
+            assert len(deadline.callbacks) == 1
+            log.append(((yield second), env.now))
+
+        env.process(attempt())
+        env.run()
+        assert log == [((0, 0.25), 0), ((1, "deadline"), 1.0)]
+
+    def test_timer_shared_by_two_pending_races(self, env):
+        timer = env.timeout(1.0, "deadline")
+        fast = env.timeout(0.5, "fast")
+        first = any_of(env, [fast, timer])
+        second = any_of(env, [env.timeout(3.0), timer])
+        env.run(until=0.75)
+        assert first.value == (0, "fast")
+        assert len(timer.callbacks) == 1
+        env.run()
+        assert second.value == (1, "deadline")
+
     @given(delays=st.lists(st.floats(0.01, 50.0), min_size=1, max_size=15))
     @settings(max_examples=40, deadline=None)
     def test_fires_at_min_delay(self, delays):

@@ -104,6 +104,21 @@ def golden_points():
             _make_point("llmbench-chat", faults="overload_shed"),
         )
     )
+    # The two remaining fault-and-control pairs of the repo benchmark:
+    # the LRU behind ``MemcachedServer``, hedged ``any_of`` races, and
+    # ``all_of`` leaf fan-out under a deadline.
+    cases.append(
+        (
+            "mediawiki+flaky_network",
+            _make_point("mediawiki", faults="flaky_network"),
+        )
+    )
+    cases.append(
+        (
+            "feedsim+noisy_neighbor",
+            _make_point("feedsim", faults="noisy_neighbor"),
+        )
+    )
     # A converging run that stops early (at 0.34 simulated seconds of
     # 3.0): the only case where ``Environment.stop`` ends a run mid-way.
     cases.append(

@@ -1,7 +1,12 @@
 """Tests for TaoBench."""
 
+import gc
+
 import pytest
 
+from repro.exec.executor import execute_point
+from repro.exec.spec import RunPoint
+from repro.sim.engine import Process
 from repro.workloads.base import RunConfig
 from repro.workloads.taobench import TaoBench, expected_hit_rate
 
@@ -69,3 +74,39 @@ class TestWritePath:
         """Write-invalidate on 1% of traffic leaves the read hit rate
         in the TAO regime."""
         assert result.extra["cache_hit_rate"] > 0.80
+
+
+class TestProcessTeardown:
+    """Over a whole point, no finished process is left for the cyclic
+    collector: only processes still suspended when the run ended sit in
+    the harness's cyclic graph.  Retrying scenarios are out of scope: a
+    caught fault kept as ``ServiceClient.call``'s ``last_error`` ties
+    its traceback's frames, and the attempt processes they name, into a
+    cycle by design."""
+
+    @pytest.mark.parametrize("faults", ["", "overload_shed"])
+    def test_only_suspended_processes_are_cyclic_garbage(self, faults):
+        point = RunPoint(
+            benchmark="taobench",
+            sku="SKU2",
+            seed=11,
+            measure_seconds=0.3,
+            warmup_seconds=0.1,
+            faults=faults,
+        )
+        was_enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            execute_point(point)
+            gc.collect()
+            processes = [o for o in gc.garbage if isinstance(o, Process)]
+            finished = sum(1 for p in processes if not p.is_alive)
+        finally:
+            gc.set_debug(debug)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert processes, "the harness graph should hold suspended processes"
+        assert finished == 0
