@@ -204,14 +204,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             prog = executor.progress() or {}
             done = prog.get("done", "?")
             total = prog.get("total", "?")
-            eta = prog.get("eta_seconds")
-            # The ETA comes from the runtime cost ledger; while the
-            # ledger is cold the line keeps plain counts instead of
-            # inventing a number.
-            suffix = f"  (eta {eta:.0f}s)" if eta is not None else ""
             print(
                 f"  [{done}/{total}] {point.workload_name} on {point.sku}: "
-                f"{report.metric_value:.4g}{suffix}",
+                f"{report.metric_value:.4g}",
                 file=sys.stderr,
             )
 
@@ -287,24 +282,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.exec.schedule import CostLedger
-
     cache = RunCache(args.cache_dir) if args.cache_dir else cache_from_env()
     if cache is None:
         cache = RunCache()
-    ledger = CostLedger(cache.directory)
     if args.cache_command == "clear":
         removed = cache.clear(stale_only=args.stale)
         what = "stale cached run(s)" if args.stale else "cached run(s)"
         print(f"removed {removed} {what} from {cache.directory}")
-        # A full clear drops the runtime cost ledger too (the history
-        # belonged to the runs just removed) unless asked to keep it;
-        # a stale-only clear keeps it — current runs still match it.
-        if not args.stale:
-            if args.keep_costs:
-                print("kept the runtime cost ledger (--keep-costs)")
-            elif ledger.clear():
-                print("removed the runtime cost ledger")
         return 0
     from repro.exec.spec import CACHE_SCHEMA_VERSION
 
@@ -317,26 +301,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             " (current)" if schema == str(CACHE_SCHEMA_VERSION) else ""
         )
         print(f"  schema {schema}: {info.by_schema[schema]}{marker}")
-    if args.costs:
-        print(f"cost ledger: {ledger.entries()} recorded fingerprint(s)")
-        summary = ledger.workload_summary()
-        if summary:
-            rows = [
-                [
-                    workload,
-                    int(row["count"]),
-                    f"{row['mean_s'] * 1000.0:.0f}",
-                    f"{row['max_s'] * 1000.0:.0f}",
-                ]
-                for workload, row in sorted(summary.items())
-            ]
-            print(
-                format_table(
-                    ["workload", "runs", "mean ms", "max ms"], rows
-                )
-            )
-        else:
-            print("  (ledger is cold: no recorded runtimes yet)")
     return 0
 
 
@@ -441,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--progress",
         action="store_true",
         help="stream each finished point to stderr as the sweep runs "
-        "(done/total, plus a cost-ledger ETA once the ledger is warm)",
+        "(done/total)",
     )
     p_suite.add_argument(
         "--no-cache",
@@ -481,18 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with clear: drop only entries written under an older "
         "cache schema version (plus corrupt files), keeping current "
         "entries warm",
-    )
-    p_cache.add_argument(
-        "--costs",
-        action="store_true",
-        help="with info: also print the runtime cost ledger (recorded "
-        "fingerprints plus per-workload mean/max wall times)",
-    )
-    p_cache.add_argument(
-        "--keep-costs",
-        action="store_true",
-        help="with clear: keep the runtime cost ledger (by default a "
-        "full clear removes it along with the cached runs)",
     )
     p_cache.set_defaults(func=_cmd_cache)
 

@@ -18,11 +18,9 @@ package makes every sweep in the repo parallel and memoized:
   persistent, fingerprint-keyed worker processes that send pickled
   report payloads back over their pipes; repeated sweeps reuse warm
   workers.
-* :mod:`repro.exec.schedule` — cost-model-driven scheduling: a
-  persistent :class:`~repro.exec.schedule.CostLedger` of measured
-  per-point wall times feeds longest-predicted-first dispatch and
-  queue-aware stealing, so the makespan of an imbalanced sweep is
-  optimized, not accidental.
+* :mod:`repro.exec.schedule` — longest-first dispatch by simulated
+  seconds, with queue-aware stealing in the pool, so a long point
+  last in spec order does not leave the pool idle behind it.
 * :mod:`repro.exec.shard` — splits one ``shards=N`` run into N shard
   environments and merges their reports into one.
 """
@@ -34,7 +32,7 @@ from repro.exec.executor import (
     auto_workers,
     execute_point,
 )
-from repro.exec.schedule import CostLedger, order_lpt
+from repro.exec.schedule import order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import (
     RunPoint,
@@ -46,7 +44,6 @@ from repro.exec.spec import (
 from repro.exec.workerpool import WarmPool, get_warm_pool, shutdown_warm_pool
 
 __all__ = [
-    "CostLedger",
     "RunCache",
     "RunPoint",
     "SweepExecutor",

@@ -8,7 +8,11 @@ entirely.  Entries are keyed by
 the calibrated model parameters, and the package source — so editing
 any of them simply orphans the old entries rather than serving stale
 results.  Writes are atomic (temp file + rename) so concurrent sweeps
-sharing one directory cannot corrupt each other.
+sharing one directory cannot corrupt each other.  Every ``*.json`` file
+in the directory counts as an entry: a file that is not a current
+entry (such as the ``cost_ledger.json`` sidecar older versions wrote)
+is listed as ``unversioned`` or ``corrupt``, is never served, and goes
+with ``clear(stale_only=True)``.
 """
 
 from __future__ import annotations
@@ -27,12 +31,6 @@ from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
 CACHE_DIR_ENV = "DCPERF_CACHE_DIR"
 #: Set to ``0`` to disable the persistent cache entirely.
 CACHE_ENABLE_ENV = "DCPERF_CACHE"
-#: Sidecar file the runtime cost ledger keeps next to the cache
-#: entries (see :class:`repro.exec.schedule.CostLedger`).  It shares
-#: the directory — surviving, relocating, and sandboxing exactly like
-#: the cache — but is not itself a cache entry, so ``info``/``clear``
-#: must skip it.
-LEDGER_FILENAME = "cost_ledger.json"
 
 
 def default_cache_dir() -> str:
@@ -49,7 +47,7 @@ def write_json_atomic(path: str, payload: object) -> None:
     Readers see the old file or the new one, never half of either.
     The temp file sits next to ``path`` (named ``.tmp-*``, which cache
     listings skip) and is removed on any failure, interrupts included.
-    ``OSError`` propagates: each caller decides how to degrade.
+    ``OSError`` propagates: :meth:`RunCache.put` degrades on it.
     """
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
@@ -204,11 +202,7 @@ class RunCache:
         except OSError:
             return
         for name in sorted(names):
-            if (
-                name.endswith(".json")
-                and not name.startswith(".tmp-")
-                and name != LEDGER_FILENAME
-            ):
+            if name.endswith(".json") and not name.startswith(".tmp-"):
                 yield os.path.join(self.directory, name)
 
     @staticmethod

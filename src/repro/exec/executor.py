@@ -20,8 +20,10 @@ Anything higher fans out over the process-global
 :class:`~repro.exec.workerpool.WarmPool` of persistent workers —
 repeated sweeps reuse already-warm processes, and each result comes
 back pickled over its worker's pipe.  Either way pending points
-run longest-predicted-first (:mod:`repro.exec.schedule`).  A pooled
-point that times out or loses its worker is re-run in-process.
+run longest-first by simulated seconds (:mod:`repro.exec.schedule`).
+A pooled point that times out or loses its worker is re-run
+in-process.  Each executed point's wall time is kept in memory
+(:attr:`SweepExecutor.ledger`); nothing about scheduling persists.
 
 Completions stream: pass ``on_point`` to :meth:`SweepExecutor.run` /
 :meth:`~SweepExecutor.run_sweep` to observe each unique point's report
@@ -53,7 +55,7 @@ from typing import (
 )
 
 from repro.exec.cache import RunCache, cache_from_env
-from repro.exec.schedule import CostLedger, order_lpt
+from repro.exec.schedule import order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import RunPoint, run_fingerprint
 
@@ -180,11 +182,25 @@ class SweepStats:
     #: Points a worker took without affinity while an affine worker was
     #: busy: stealing beat idling.
     steals: int = 0
-    #: Wall times recorded into the runtime cost ledger this sweep.
-    ledger_recorded: int = 0
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
+
+
+class WallTimes:
+    """Measured wall seconds per executed point, in memory.
+
+    ``by_fingerprint[fp]["seconds"]`` holds the latest run of each
+    point (shard sub-points included) across this executor's sweeps.
+    It is the only per-point timing record a sweep keeps; scheduling
+    never reads it.
+    """
+
+    def __init__(self) -> None:
+        self.by_fingerprint: Dict[str, Dict[str, float]] = {}
+
+    def record(self, fingerprint: str, seconds: float) -> None:
+        self.by_fingerprint[fingerprint] = {"seconds": seconds}
 
 
 @dataclass
@@ -205,7 +221,6 @@ class SweepExecutor:
         cache: Optional[RunCache] = None,
         use_cache: bool = True,
         point_timeout_s: Optional[float] = None,
-        ledger: Optional[CostLedger] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
@@ -223,16 +238,12 @@ class SweepExecutor:
         self.cache = cache if cache is not None else (
             cache_from_env() if use_cache else None
         )
-        #: Runtime cost ledger: persisted next to the run cache (or
-        #: in-memory only when the sweep is cache-less).
-        self.ledger = ledger if ledger is not None else CostLedger(
-            self.cache.directory if self.cache is not None else None
-        )
+        #: Wall seconds of every point this executor has run.
+        self.ledger = WallTimes()
         self.last_stats: Optional[SweepStats] = None
         #: Live progress of the current/most recent sweep (see
         #: :meth:`progress`); ``None`` before the first ``run_sweep``.
-        self._progress: Optional[Dict[str, object]] = None
-        self._predicted: Dict[str, float] = {}
+        self._progress: Optional[Dict[str, int]] = None
 
     # -- public API -----------------------------------------------------------
     def run(
@@ -252,16 +263,8 @@ class SweepExecutor:
 
         started = time.monotonic()
         points = list(points)
-        ledger = self.ledger.load()
         fingerprints = [run_fingerprint(p) for p in points]
-        self._progress = {
-            "done": 0,
-            "total": len(set(fingerprints)),
-            "remaining_s": 0.0,
-            "workers": 1,
-            "ledger_backed": False,
-        }
-        self._predicted = {}
+        self._progress = {"done": 0, "total": len(set(fingerprints))}
 
         payloads: Dict[str, Dict[str, object]] = {}
         todo: List[Tuple[str, RunPoint]] = []
@@ -316,40 +319,17 @@ class SweepExecutor:
             shard_points=shard_point_count,
         )
 
-        def predict_fp(fp: str, point: RunPoint) -> float:
-            return ledger.predict(point, fingerprint=fp)
-
-        def record_cost(fp: str, point: RunPoint, seconds: float) -> None:
-            ledger.record(fp, point, seconds)
-            stats.ledger_recorded += 1
-
         if todo:
             workers = min(self.max_workers, len(todo))
-            # Longest-predicted-first dispatch.  Results are keyed by
-            # fingerprint and merged in spec order below, so only
-            # completion order (and the makespan) moves.
-            todo = order_lpt(todo, predict_fp)
-            self._predicted = {}
-            ledger_backed = False
-            for fp, point in todo:
-                seconds, source = ledger.predict_with_source(point, fp)
-                self._predicted[fp] = seconds
-                ledger_backed = ledger_backed or source != "seed"
-            self._progress.update(
-                remaining_s=sum(self._predicted.values()),
-                workers=workers,
-                ledger_backed=ledger_backed,
-            )
+            # Longest-first dispatch.  Results are keyed by fingerprint
+            # and merged in spec order below, so only completion order
+            # (and the makespan) moves.
+            todo = order_lpt(todo)
             inproc = todo
             if workers > 1:
                 stats.pool_mode = "warm"
                 pooled, inproc, stats.timeouts = self._run_warm(
-                    todo,
-                    workers,
-                    stats,
-                    on_point,
-                    predict=predict_fp,
-                    on_timing=record_cost,
+                    todo, workers, stats, on_point
                 )
                 payloads.update(pooled)
                 # Points lost to a worker crash or to the per-point
@@ -359,7 +339,7 @@ class SweepExecutor:
             for fp, point in inproc:
                 t0 = time.monotonic()
                 payload = _run_point_payload(point)
-                record_cost(fp, point, time.monotonic() - t0)
+                self.ledger.record(fp, time.monotonic() - t0)
                 payloads[fp] = self._finish_point(fp, point, payload, on_point)
 
         # Merge each sharded parent from its (now complete) shard
@@ -379,35 +359,17 @@ class SweepExecutor:
         # mutate `.score`, so deduplicated positions must not alias.
         reports = [report_from_dict(payloads[fp]) for fp in fingerprints]
         stats.elapsed_seconds = time.monotonic() - started
-        if stats.ledger_recorded:
-            ledger.save()
         self.last_stats = stats
         return SweepResult(
             reports=reports, stats=stats, fingerprints=fingerprints
         )
 
     # -- internals ------------------------------------------------------------
-    def progress(self) -> Optional[Dict[str, object]]:
-        """Live ``done/total`` plus a cost-model ETA for this sweep.
-
-        ``eta_seconds`` is the predicted wall time still owed — the
-        sum of the pending points' predicted costs divided by the
-        sweep's parallelism — and is ``None`` while the ledger is cold
-        (every prediction a point's simulated seconds): a plain count
-        is honest then, a made-up ETA is not.
-        """
+    def progress(self) -> Optional[Dict[str, int]]:
+        """Live ``done``/``total`` unique points of this sweep."""
         if self._progress is None:
             return None
-        eta: Optional[float] = None
-        if self._progress["ledger_backed"]:
-            eta = max(0.0, float(self._progress["remaining_s"])) / max(
-                1, int(self._progress["workers"])
-            )
-        return {
-            "done": int(self._progress["done"]),
-            "total": int(self._progress["total"]),
-            "eta_seconds": eta,
-        }
+        return dict(self._progress)
 
     def _notify(
         self,
@@ -421,7 +383,7 @@ class SweepExecutor:
         parent point, so only its merged report streams.
         """
         if point.shard_index < 0 and self._progress is not None:
-            self._progress["done"] = int(self._progress["done"]) + 1
+            self._progress["done"] += 1
         if on_point is not None and point.shard_index < 0:
             on_point(point, report_from_dict(payload))
 
@@ -440,10 +402,6 @@ class SweepExecutor:
         """
         if self.cache is not None:
             self.cache.put(fp, point, payload)
-        if self._progress is not None and fp in self._predicted:
-            self._progress["remaining_s"] = float(
-                self._progress["remaining_s"]
-            ) - self._predicted.pop(fp)
         self._notify(on_point, point, payload)
         return payload
 
@@ -453,17 +411,14 @@ class SweepExecutor:
         workers: int,
         stats: SweepStats,
         on_point: Optional[OnPoint],
-        predict,
-        on_timing,
     ) -> Tuple[Dict[str, Dict[str, object]], List[Tuple[str, RunPoint]], int]:
         """Fan ``todo`` out over the process-global warm pool.
 
         Completions stream back as they finish: each one is cached (and
         surfaced through ``on_point``) before the sweep is over, so a
         killed sweep keeps every finished point and long sweeps render
-        incrementally.  ``predict`` prices points for the pool's
-        cost-band dispatch; ``on_timing`` feeds measured wall times
-        back into the runtime cost ledger.
+        incrementally.  Each completion's wall time goes to
+        :attr:`ledger`.
         """
         from repro.exec.workerpool import get_warm_pool
 
@@ -475,8 +430,7 @@ class SweepExecutor:
             on_result=lambda fp, point, payload: self._finish_point(
                 fp, point, payload, on_point
             ),
-            predict=predict,
-            on_timing=on_timing,
+            on_timing=self.ledger.record,
         )
         stats.workers = run.workers
         stats.spawned = run.spawned

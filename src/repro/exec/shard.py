@@ -18,8 +18,9 @@ The merge (:func:`merge_shard_payloads`) is the load-bearing half:
   whole job in every shard, so its merge is refused.
 * **Counters add** (throughput, I/O traffic, resilience/shed counts,
   fault events): the fleet did the sum of what its shards did.
-* **Utilizations and rates average**, weighted by shard completions —
-  a shard that served more requests speaks for more of the fleet.
+* **Utilizations, rates and percentiles average**, weighted by shard
+  completions: a shard that served more requests speaks for more of
+  the fleet.
 * **SLO window series** align by window index
   (:meth:`~repro.loadgen.windows.WindowedSloTracker.merge_window_series`).
 
@@ -101,8 +102,21 @@ _FIRST_KEYS = frozenset(
         "llm_batch_slots",
         "llm_kv_budget_bytes",
         "llm_kv_bytes_per_token",
+        "worker_processes",
     }
 )
+
+#: Pass/fail flags, by ``(benchmark, key)``: the fleet passed only if
+#: every shard did.  Elsewhere ``slo_met`` is the SLO control plane's
+#: count of requests that met the SLO, which sums.
+_FLAG_KEYS = frozenset({("feedsim", "slo_met")})
+
+
+def _is_mean_key(key: str) -> bool:
+    """Averaged extras, the per-endpoint ``p95_<endpoint>_seconds`` too."""
+    return key in _MEAN_KEYS or (
+        key.startswith("p95_") and key.endswith("_seconds")
+    )
 
 
 def expand_shards(point: RunPoint) -> List[RunPoint]:
@@ -213,8 +227,9 @@ def _merge_extras(
     """Merge ``result.extra`` trees under the documented key policy.
 
     Defaults to summing (counters, per-second rates, byte totals);
-    ratio-like keys average (completion-weighted), worst-case keys take
-    the max, and run parameters take the first shard's value.  Special
+    ratios and percentiles average (completion-weighted), worst-case
+    keys take the max, pass/fail flags pass only if every shard did,
+    and run parameters take the first shard's value.  Special
     keys — the measurement window, convergence accounting, and the SLO
     window series — keep scalar aggregates *and* grow per-shard lists
     so the merged report still answers "what did each shard do".
@@ -249,9 +264,11 @@ def _merge_extras(
             merged.setdefault(key, float(sum(float(v) for v in values)))
         elif key in _FIRST_KEYS:
             merged[key] = values[0]
+        elif (point.benchmark, key) in _FLAG_KEYS:
+            merged[key] = 1.0 if all(float(v) == 1.0 for v in values) else 0.0
         elif key in _MAX_KEYS:
             merged[key] = max(float(v) for v in values)
-        elif key in _MEAN_KEYS:
+        elif _is_mean_key(key):
             merged[key] = _weighted_mean([float(v) for v in values], weights)
         else:
             merged[key] = float(sum(float(v) for v in values))

@@ -231,17 +231,3 @@ def run_fingerprint(point: RunPoint) -> str:
     }
     return _digest(payload)[:32]
 
-
-def cost_class(point: RunPoint) -> tuple:
-    """Runtime-cost equivalence class of a point.
-
-    Two points in the same class are expected to cost about the same
-    wall time: same workload (benchmark + variant), same simulated
-    duration, same shard fan-out, same fault scenario.  SKU, kernel,
-    and seed move the *simulated* result, not (to first order) the
-    wall time spent simulating it, so they stay out of the key — that
-    is what lets one recorded run predict a whole SKU sweep.  Used by
-    :class:`repro.exec.schedule.CostLedger` for its aggregates.
-    """
-    duration = point.warmup_seconds + point.measure_seconds
-    return (point.workload_name, duration, point.shards, point.faults)

@@ -18,11 +18,11 @@ again:
 * **Cost-band dispatch with affinity** — warm-setup memos (generated
   datasets, validation results, pre-warmed cache sets) live per
   process, so a worker prefers a pending point it has run before
-  (exact point, then workload), but only within a predicted-cost band
-  of the queue head; past that band it steals the head rather than
-  idle.  With equal predicted costs this is the plain affinity-first
-  scan, so repeat sweeps land on already-warm processes even when
-  spec order changes.
+  (exact point, then workload), but only within a cost band (by
+  simulated seconds) of the queue head; past that band it steals the
+  head rather than idle.  With equal costs this is the plain
+  affinity-first scan, so repeat sweeps land on already-warm processes
+  even when spec order changes.
 * **Streaming completions** — results surface through an ``on_result``
   callback as each point finishes, so callers can persist per point
   and render long sweeps incrementally.
@@ -44,7 +44,7 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.schedule import AFFINITY_COST_BAND
+from repro.exec.schedule import AFFINITY_COST_BAND, seed_cost
 from repro.exec.serialize import dict_from_bytes, dict_to_bytes
 from repro.exec.spec import RunPoint, pool_key
 
@@ -282,8 +282,7 @@ class WarmPool:
         on_result: Optional[
             Callable[[str, RunPoint, Dict[str, object]], None]
         ] = None,
-        predict: Optional[Callable[[str, RunPoint], float]] = None,
-        on_timing: Optional[Callable[[str, RunPoint, float], None]] = None,
+        on_timing: Optional[Callable[[str, float], None]] = None,
     ) -> Tuple[
         Dict[str, Dict[str, object]],
         List[Tuple[str, RunPoint]],
@@ -302,21 +301,20 @@ class WarmPool:
         before the exception leaves this frame.
 
         Dispatch is cost-aware: ``todo`` is assumed to arrive
-        longest-predicted-first (:func:`repro.exec.schedule.order_lpt`)
-        and ``predict`` (``(fingerprint, point) -> seconds``) prices
-        each point.  A worker prefers a point it has run before (exact
-        point, then workload) only *within a predicted-cost band* of
-        the queue head — it never defers the head for something far
-        smaller.  When the head is another busy worker's affine point,
-        the idle worker steals it instead of idling (counted in
-        ``steals``).  Without ``predict`` every point costs the same,
-        so the band holds the whole queue and dispatch is the plain
-        affinity-first scan.  Either way results are keyed by
-        fingerprint, so completion order never changes the merged
-        output.
+        longest-first (:func:`repro.exec.schedule.order_lpt`), and
+        each point costs its simulated seconds
+        (:func:`~repro.exec.schedule.seed_cost`).  A worker prefers a
+        point it has run before (exact point, then workload) only
+        *within a cost band* of the queue head — it never defers the
+        head for something far smaller.  When the head is another busy
+        worker's affine point, the idle worker steals it instead of
+        idling (counted in ``steals``).  With equal costs the band
+        holds the whole queue and dispatch is the plain affinity-first
+        scan.  Either way results are keyed by fingerprint, so
+        completion order never changes the merged output.
 
-        ``on_timing`` observes ``(fingerprint, point, wall seconds)``
-        per completed point — the feed for the runtime cost ledger.
+        ``on_timing`` observes ``(fingerprint, wall seconds)`` per
+        completed point.
         """
         run = PoolRunStats()
         completed: Dict[str, Dict[str, object]] = {}
@@ -329,18 +327,15 @@ class WarmPool:
         )
         pending = deque(todo)
         delay = os.environ.get(FAULT_DELAY_ENV, "")
-        costs: Dict[str, float] = {
-            fp: predict(fp, point) if predict is not None else 0.0
-            for fp, point in todo
-        }
+        costs = {fp: seed_cost(point) for fp, point in todo}
         # worker -> (task_id, fingerprint, point, deadline, started)
         inflight: Dict[
             _Worker, Tuple[int, str, RunPoint, Optional[float], float]
         ] = {}
 
         def take(worker: _Worker) -> Tuple[str, RunPoint]:
-            """Affinity within the head's predicted-cost band, stealing
-            over idling past it — a worker never idles while work is
+            """Affinity within the head's cost band, stealing over
+            idling past it — a worker never idles while work is
             pending."""
             floor = costs[pending[0][0]] / AFFINITY_COST_BAND
             exact_index = None
@@ -448,9 +443,7 @@ class WarmPool:
                     payload = dict_from_bytes(data)
                     completed[fp] = payload
                     if on_timing is not None:
-                        on_timing(
-                            fp, point, time.monotonic() - started_at
-                        )
+                        on_timing(fp, time.monotonic() - started_at)
                     if on_result is not None:
                         on_result(fp, point, payload)
                     dispatch(worker)

@@ -131,6 +131,41 @@ class TestCli:
             main(["suite", flag])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["cache", "info", "--costs"], ["cache", "clear", "--keep-costs"]]
+    )
+    def test_cache_has_no_cost_ledger_flags(self, argv, capsys):
+        # Sweeps keep no cost ledger on disk, so there is none to show
+        # or keep.
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_suite_early_stop_default_differs_from_library(self, tmp_path):
+        """``dcperf suite`` stops runs early unless told not to, while
+        ``DCPerfSuite()`` measures the full window: one seed gives the
+        CLI the numbers of ``DCPerfSuite(early_stop=True)``, and with
+        ``--no-early-stop`` those of the library default.  With
+        ``--sku SKU1`` the 9 baseline points are the 9 target points."""
+        path = str(tmp_path / "suite.json")
+
+        def cli(*flags):
+            argv = ["suite", "--sku", "SKU1", "--measure-seconds", "0.5",
+                    "--no-cache", "--json", path, *flags]
+            assert main(argv) == 0
+            with open(path) as fh:
+                return json.load(fh)
+
+        def library(**kwargs):
+            report = DCPerfSuite(measure_seconds=0.5, **kwargs).run("SKU1")
+            return json.loads(json.dumps(report.as_dict(), default=str))
+
+        early = cli()
+        assert early == library(early_stop=True)
+        full = cli("--no-early-stop")
+        assert full == library()
+        assert early != full
+
     def test_workloads_list(self, capsys):
         assert main(["workloads", "list"]) == 0
         out = capsys.readouterr().out

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.exec.cache import (
     CACHE_DIR_ENV,
     CACHE_ENABLE_ENV,
@@ -111,6 +113,44 @@ class TestRunCache:
         assert info.by_schema == {str(CACHE_SCHEMA_VERSION): 1}
         # The surviving entry still loads.
         assert cache.get("a" * 8) == PAYLOAD
+
+    def test_interrupted_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """An interrupt mid-write removes the temp file and leaves no
+        entry: listings skip ``.tmp-*`` names, so a leaked one would
+        never be reclaimed."""
+        cache = RunCache(str(tmp_path))
+
+        def interrupted_dump(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted_dump)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put("abc123", POINT, PAYLOAD)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == []
+        assert cache.get("abc123") is None
+
+    def test_leftover_cost_ledger_is_a_stale_entry(self, tmp_path):
+        """Older versions kept a ``cost_ledger.json`` sidecar next to
+        the entries.  It lists as one unversioned entry, is never
+        served, and a stale-only clear removes it."""
+        cache = RunCache(str(tmp_path))
+        cache.put("a" * 8, POINT, PAYLOAD)
+        sidecar = tmp_path / "cost_ledger.json"
+        sidecar.write_text(json.dumps({
+            "version": 1,
+            "by_fingerprint": {"a" * 8: {"seconds": 1.5, "count": 1}},
+            "by_class": {},
+        }))
+        assert cache.info().by_schema == {
+            str(CACHE_SCHEMA_VERSION): 1,
+            "unversioned": 1,
+        }
+        assert cache.get("cost_ledger") is None
+        assert cache.get("a" * 8) == PAYLOAD
+        assert cache.clear(stale_only=True) == 1
+        assert not sidecar.exists()
+        assert cache.info().by_schema == {str(CACHE_SCHEMA_VERSION): 1}
 
 
 class TestEnvironment:

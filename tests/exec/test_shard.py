@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.benchmark import Benchmark
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor, execute_point
+from repro.exec.executor import SweepExecutor, _run_point_payload, execute_point
 from repro.exec.shard import expand_shards, merge_shard_payloads
 from repro.exec.spec import RunPoint, run_fingerprint, shard_seed
 
@@ -148,6 +148,36 @@ class TestShardMerge:
             )
         merged = execute_point(parent)
         assert merged.result.latency == union.summary()
+
+    @pytest.mark.parametrize("name", ["mediawiki", "djangobench", "feedsim"])
+    def test_merge_does_not_add_percentiles_parameters_or_flags(self, name):
+        """Per-endpoint p95s average, ``worker_processes`` is a run
+        parameter and feedsim's ``slo_met`` a pass/fail flag: the merge
+        used to add each of them across shards."""
+        parent = fast_point(name, sku="SKU2", seed=11, shards=2)
+        payloads = [_run_point_payload(sub) for sub in expand_shards(parent)]
+        shards = [p["result"]["extra"] for p in payloads]
+        merged = merge_shard_payloads(parent, payloads)["result"]["extra"]
+        p95_keys = [k for k in shards[0] if k.startswith("p95_")]
+        assert bool(p95_keys) == (name != "feedsim")
+        for key in p95_keys:
+            low, high = sorted(extra[key] for extra in shards)
+            assert low <= merged[key] <= high, key
+        if name == "djangobench":
+            assert shards[0]["worker_processes"] == 52
+            assert merged["worker_processes"] == 52
+        if name == "feedsim":
+            assert [extra["slo_met"] for extra in shards] == [1.0, 1.0]
+            assert merged["slo_met"] == 1.0
+            shards[1]["slo_met"] = 0.0
+            failed = merge_shard_payloads(parent, payloads)["result"]["extra"]
+            assert failed["slo_met"] == 0.0
+        else:
+            # Elsewhere ``slo_met`` is the control plane's request count.
+            for count, extra in zip((3.0, 4.0), shards):
+                extra["slo_met"] = count
+            counted = merge_shard_payloads(parent, payloads)["result"]["extra"]
+            assert counted["slo_met"] == 7.0
 
     @pytest.mark.parametrize("workload", ["sparkbench", "videotranscode"])
     def test_refuses_workload_without_open_loop_harness(self, workload):

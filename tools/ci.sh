@@ -341,55 +341,6 @@ print("shard smoke ok: shards=1 identical to in-proc runner, shards=2 "
       "byte-identical across in-proc/warm/execute_point + cache round-trip")
 EOF
 
-echo "== schedule smoke (cold vs warm ledger, byte-identity) =="
-python - <<'EOF'
-import json
-import os
-
-from repro.exec.cache import LEDGER_FILENAME
-from repro.exec.executor import SweepExecutor
-from repro.exec.spec import RunPoint
-from repro.exec.workerpool import shutdown_warm_pool
-
-# An imbalanced sweep: two short points and one long straggler, the
-# straggler last in spec order (the worst case LPT reorders).
-points = [
-    RunPoint(benchmark="djangobench", sku="SKU1",
-             measure_seconds=0.4, warmup_seconds=0.1),
-    RunPoint(benchmark="feedsim", sku="SKU2",
-             measure_seconds=0.4, warmup_seconds=0.1),
-    RunPoint(benchmark="taobench", sku="SKU2",
-             measure_seconds=0.8, warmup_seconds=0.2),
-]
-
-def sweep():
-    executor = SweepExecutor(max_workers=2, cache=None, use_cache=False)
-    reports = executor.run(points)
-    return [json.dumps(r.as_dict(), sort_keys=True) for r in reports], \
-        executor.last_stats
-
-# First pass schedules by simulated seconds (cold ledger) and records
-# every measured wall time; the second schedules from that recorded
-# history.  Both must merge to the same bytes.
-cold, cold_stats = sweep()
-assert cold_stats.ledger_recorded == 3, cold_stats.ledger_recorded
-warm, warm_stats = sweep()
-assert warm == cold, "warm-ledger sweep diverged from cold-ledger sweep"
-shutdown_warm_pool()
-
-# The sweeps above ran cache-less (in-memory ledger); a cached sweep
-# must persist a non-empty ledger sidecar next to the run cache.
-cached = SweepExecutor(max_workers=1)
-cached.run(points[:1])
-ledger_path = os.path.join(os.environ["DCPERF_CACHE_DIR"], LEDGER_FILENAME)
-assert os.path.exists(ledger_path), "cost ledger sidecar was not written"
-sidecar = json.load(open(ledger_path))
-assert sidecar["by_fingerprint"], "persisted cost ledger is empty"
-print("schedule smoke ok: cold and warm-ledger LPT sweeps byte-identical, "
-      f"{warm_stats.ledger_recorded} timings re-recorded, persistent "
-      f"ledger holds {len(sidecar['by_fingerprint'])} fingerprint(s)")
-EOF
-
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 
