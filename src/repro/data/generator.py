@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.data.schema import Column, ColumnKind, TableSchema
 from repro.sim.rng import RngStreams, ZipfSampler
@@ -56,6 +56,7 @@ class DatasetGenerator:
         self.schema = schema
         self.streams = RngStreams(seed).spawn(schema.name)
         self._zipf_cache: Dict[str, ZipfSampler] = {}
+        self._strings: Dict[Tuple[str, int], str] = {}
 
     def _value_for(self, col: Column, row_index: int) -> Optional[Any]:
         """Reference single-value path.
@@ -92,11 +93,18 @@ class DatasetGenerator:
         raise ValueError(f"unhandled column kind {col.kind}")
 
     def _string_value(self, col: Column, ordinal: int) -> str:
-        # Deterministic per-ordinal string so distinct counts hold.
-        rng = self.streams.spawn(f"strings:{col.name}:{ordinal}").stream("v")
-        length = max(1, col.avg_string_len + rng.randint(-4, 4))
-        alphabet = string.ascii_lowercase + string.digits
-        return "".join(rng.choice(alphabet) for _ in range(length))
+        # Deterministic per-ordinal string so distinct counts hold.  Its
+        # child stream is spawned by name, not by draw order, so the
+        # string is a function of (column, ordinal): build it once.
+        key = (col.name, ordinal)
+        value = self._strings.get(key)
+        if value is None:
+            rng = self.streams.spawn(f"strings:{col.name}:{ordinal}").stream("v")
+            length = max(1, col.avg_string_len + rng.randint(-4, 4))
+            alphabet = string.ascii_lowercase + string.digits
+            value = "".join(rng.choice(alphabet) for _ in range(length))
+            self._strings[key] = value
+        return value
 
     def _ordinal_drawer(self, col: Column):
         """(rng -> ordinal) for one column, with the sampler hoisted."""

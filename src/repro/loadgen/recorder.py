@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+from math import inf as _INF
 from typing import Dict, List
 
 
@@ -196,9 +197,17 @@ class LatencyRecorder:
         return len(self._samples)
 
     def record(self, latency_seconds: float, count: int = 1) -> None:
-        """Record ``count`` requests that each took ``latency_seconds``."""
-        if latency_seconds < 0:
-            raise ValueError("latency must be non-negative")
+        """Record ``count`` requests that each took ``latency_seconds``.
+
+        A latency must be a finite number >= 0: a ``nan`` would poison
+        every exact percentile, and the hdr backend cannot bucket
+        ``nan`` or ``inf``.  The check runs before any state changes.
+        """
+        # One chained comparison: false for nan, inf and negatives.
+        if not 0.0 <= latency_seconds < _INF:
+            raise ValueError(
+                f"latency must be finite and non-negative, got {latency_seconds!r}"
+            )
         if count < 1:
             raise ValueError("count must be >= 1")
         if self._hist is not None:

@@ -12,9 +12,15 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from bisect import bisect, bisect_left
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import truediv
 from typing import Dict, List, Sequence, Tuple
+
+#: Ranks per running-sum chunk when a Zipf CDF is built: the build
+#: holds one chunk as a list of floats, never the whole table.
+_CDF_CHUNK = 65_536
 
 
 class RngStreams:
@@ -144,8 +150,11 @@ class ZipfSampler:
     #: Memoized CDFs keyed by (n, s): building the 200k-rank TaoBench
     #: CDF costs ~40ms per run, and every run of the same benchmark
     #: rebuilds the identical table.  The CDF is pure in (n, s) and
-    #: never mutated, so instances share it safely.
-    _CDF_MEMO: Dict[Tuple[int, float], List[float]] = {}
+    #: never mutated, so instances share it safely.  Each table is a
+    #: packed ``array('d')`` (8 bytes a rank, against a pointer plus a
+    #: 24-byte float object in a list): the memo lives as long as the
+    #: process, and every forked pool worker inherits it.
+    _CDF_MEMO: Dict[Tuple[int, float], array] = {}
     _CDF_MEMO_MAX = 64
 
     def __init__(self, n: int, s: float = 0.99) -> None:
@@ -159,11 +168,19 @@ class ZipfSampler:
         if cdf is None:
             weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
             total = sum(weights)
-            cdf = []
+            # The running sum ``acc += w / total``, one chunk at a time:
+            # ``accumulate`` seeded with the previous chunk's last sum
+            # makes the same sequential float additions, bit for bit.
+            cdf = array("d")
             acc = 0.0
-            for w in weights:
-                acc += w / total
-                cdf.append(acc)
+            for lo in range(0, n, _CDF_CHUNK):
+                chunk = list(accumulate(
+                    map(truediv, weights[lo:lo + _CDF_CHUNK], repeat(total)),
+                    initial=acc,
+                ))
+                acc = chunk[-1]
+                del chunk[0]  # the seed is no rank's value
+                cdf.fromlist(chunk)
             cdf[-1] = 1.0
             if len(self._CDF_MEMO) >= self._CDF_MEMO_MAX:
                 self._CDF_MEMO.clear()

@@ -20,6 +20,7 @@ from repro.data.schema import (
     warehouse_dim_schema,
     warehouse_fact_schema,
 )
+from repro.sim.rng import RngStreams
 
 #: One column per kind, with nulls, skew, and bounded domains in the
 #: mix so every branch of the batched loops is exercised.
@@ -87,3 +88,39 @@ def test_string_streams_are_name_derived_not_order_derived():
     gen = DatasetGenerator(schema, seed=3)
     gen.generate(100)  # burn plenty of draws first
     assert gen._string_value(schema.column("region"), 2) == a
+
+
+@pytest.mark.parametrize(
+    "schema", [ALL_KINDS_SCHEMA, warehouse_dim_schema()], ids=lambda s: s.name
+)
+def test_memoized_strings_equal_fresh_builds(schema):
+    """A generator builds each (column, ordinal) string once and reuses
+    it; every value equals the string the reference ``_value_for`` path
+    builds from scratch on a fresh generator."""
+    batched = DatasetGenerator(schema, seed=41).generate(400).columns
+    fresh = DatasetGenerator(schema, seed=41)
+    for col in schema.columns:
+        if col.kind != ColumnKind.STRING:
+            continue
+        for row_index in range(400):
+            fresh._strings.clear()  # nothing memoized: build every string
+            assert batched[col.name][row_index] == fresh._value_for(col, row_index)
+
+
+def test_one_string_stream_per_distinct_ordinal(monkeypatch):
+    spawned = []
+    spawn = RngStreams.spawn
+
+    def counting_spawn(self, name):
+        spawned.append(name)
+        return spawn(self, name)
+
+    monkeypatch.setattr(RngStreams, "spawn", counting_spawn)
+    columns = DatasetGenerator(ALL_KINDS_SCHEMA, seed=41).generate(400).columns
+    strings = [name for name in spawned if name.startswith("strings:")]
+    region = [name for name in strings if name.startswith("strings:region:")]
+    notes = [value for value in columns["note"] if value is not None]
+    # 400 region rows over 16 ordinals: one stream per distinct ordinal.
+    assert len(region) == len(set(columns["region"])) <= 16
+    # The unbounded note column has one ordinal per row.
+    assert len(strings) == len(set(strings)) == len(region) + len(notes)

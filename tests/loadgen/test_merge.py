@@ -10,7 +10,6 @@ carries recorders between shard processes.
 from __future__ import annotations
 
 import json
-import math
 import random
 
 import pytest
@@ -36,12 +35,6 @@ def _stream(rng, n):
 QUERIES = (0.0, 25.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0)
 
 
-def _eq(x, y):
-    # nan-tolerant exact equality: an inf sample makes interpolated
-    # percentiles nan on *both* sides, which still counts as agreement.
-    return x == y or (math.isnan(x) and math.isnan(y))
-
-
 def _assert_equivalent(merged, union):
     assert len(merged) == len(union)
     assert merged.errors == union.errors
@@ -49,8 +42,8 @@ def _assert_equivalent(merged, union):
         assert merged.summary() == union.summary()
         return
     for p in QUERIES:
-        assert _eq(merged.percentile(p), union.percentile(p))
-    assert _eq(merged.mean(), union.mean())
+        assert merged.percentile(p) == union.percentile(p)
+    assert merged.mean() == union.mean()
     assert merged.max() == union.max()
     for threshold in (0.0, 0.001, 0.002, 0.01):
         assert merged.fraction_below(threshold) == union.fraction_below(threshold)
@@ -100,17 +93,6 @@ def test_merge_negative_zero(backend):
     )
     union = _record_stream(backend, [-0.0, 0.001, -0.0])
     _assert_equivalent(merged, union)
-
-
-def test_merge_infinity_exact_backend():
-    # inf is exact-only: the HDR bucket mapping cannot quantize it.
-    inf = math.inf
-    merged = _record_stream("exact", [0.001, inf]).merge(
-        _record_stream("exact", [0.002])
-    )
-    union = _record_stream("exact", [0.001, inf, 0.002])
-    _assert_equivalent(merged, union)
-    assert merged.max() == inf
 
 
 def test_merge_exact_keeps_samples_sorted_without_resort():

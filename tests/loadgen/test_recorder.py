@@ -1,5 +1,7 @@
 """Tests for the latency recorder."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +36,24 @@ class TestPercentiles:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             LatencyRecorder().record(-0.1)
+
+    @pytest.mark.parametrize("backend", ["exact", "hdr"])
+    @pytest.mark.parametrize(
+        "latency", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"]
+    )
+    def test_unreportable_latency_rejected(self, latency, backend):
+        # A nan or inf sample would turn exact percentiles into nan, and
+        # the hdr backend cannot bucket either: refused before any state
+        # changes, so the recorder still answers from its good samples.
+        r = LatencyRecorder(backend)
+        r.record(0.1)
+        r.record(0.2)
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                r.record(latency, count)
+        assert len(r) == 2
+        assert r.percentile(100) == 0.2
+        assert not math.isnan(r.percentile(50))
 
     @given(samples=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=200))
     @settings(max_examples=50)

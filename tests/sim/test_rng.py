@@ -1,6 +1,8 @@
 """Tests for deterministic RNG streams and samplers."""
 
 import math
+import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,3 +252,64 @@ class TestSamplerFastPaths:
                 next(i for i, c in enumerate(dist._cdf) if c >= u)
             ]
             assert value == expected
+
+
+def _list_cdf(n, s):
+    """The list-building loop the packed table replaced, kept verbatim."""
+    weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
+    total = sum(weights)
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cdf.append(acc)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _fresh_zipf(n, s):
+    """A sampler whose table is built now, not served from the memo."""
+    ZipfSampler._CDF_MEMO.pop((n, s), None)
+    return ZipfSampler(n, s)
+
+
+class TestPackedZipfCdf:
+    """The packed ``array('d')`` table holds the very floats the list
+    loop computed, so every rank ``bisect_left`` returns is unchanged.
+    Sizes straddle the build's 65,536-rank chunks."""
+
+    @pytest.mark.parametrize("s", [0.0, 0.7, 0.99, 1.3])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 65_535, 65_536, 65_537, 131_073, 200_000]
+    )
+    def test_bit_equal_to_list_loop(self, n, s):
+        assert list(_fresh_zipf(n, s)._cdf) == _list_cdf(n, s)
+
+    def test_bit_equal_at_one_million_ranks(self):
+        # sparkbench's user_id table.
+        assert list(_fresh_zipf(1_000_000, 0.8)._cdf) == _list_cdf(1_000_000, 0.8)
+
+    def test_hit_fraction_and_draws_match_list_table(self):
+        zipf = _fresh_zipf(200_000, 0.99)
+        reference = _list_cdf(200_000, 0.99)
+        for top_k in (1, 2, 10, 65_536, 65_537, 150_000, 199_999):
+            assert zipf.hit_fraction(top_k) == reference[top_k - 1]
+        a = RngStreams(17).stream("keys")
+        b = RngStreams(17).stream("keys")
+        for _ in range(1_000):
+            assert zipf.sample(a) == bisect_left(reference, b.random()) + 1
+
+    def test_fresh_table_retains_under_2_mib(self):
+        # 200k ranks: 1.6 MiB packed, against 6.1 MiB as a list of floats.
+        ZipfSampler._CDF_MEMO.pop((200_000, 0.99), None)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ZipfSampler(200_000, 0.99)  # the memo keeps the table
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert retained <= 2 * 2 ** 20

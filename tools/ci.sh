@@ -38,6 +38,25 @@ python -m pytest -q benchmarks --benchmark-disable
 echo "== benchmark reference digests (bench run --quick, seed 7) =="
 python -m bench run --quick
 
+# pytest bench runs the traced gate command on faults-control only; a
+# change that breaks the traced child of another workload would pass
+# every step above and fail only when the benchmark itself runs.
+echo "== traced bench measure (suite, suite-pool, llm-serving; seed 7) =="
+for workload in suite suite-pool llm-serving; do
+    python -m bench measure --workload "$workload" --seed 7 --seconds 1 \
+        --trace 1 | python -c '
+import json
+import sys
+
+workload = sys.argv[1]
+out = json.loads(sys.stdin.read().splitlines()[-1])
+assert out["correct"] is True and out["failed"] == 0, (workload, out)
+points, metrics = out["attempted"], len(out["metrics"])
+print(f"traced measure ok: {workload}, {points} points, "
+      f"{metrics} per-layer metrics")
+' "$workload"
+done
+
 echo "== parallel smoke sweep (2 points, 2 workers) =="
 python - <<'EOF'
 from repro.exec.executor import SweepExecutor
