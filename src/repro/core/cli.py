@@ -376,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="split the run across N shard environments executed on "
-        "the warm worker pool and merge their results into one report "
-        "(1 = ordinary single-environment run)",
+        help="simulate N servers, each at 1/N of the offered rate, on "
+        "the warm worker pool and merge their results into one report; "
+        "this changes the experiment, not only its speed (1 = ordinary "
+        "single-server run)",
     )
     p_run.add_argument("--json", help="write the report to this JSON file")
     p_run.set_defaults(func=_cmd_run)

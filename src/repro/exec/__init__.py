@@ -15,12 +15,10 @@ package makes every sweep in the repo parallel and memoized:
   runs points in-process or on the warm pool, and merges results back
   in spec order so parallel output is identical to serial.
 * :class:`~repro.exec.workerpool.WarmPool` — a process-global pool of
-  persistent, fingerprint-keyed worker processes that send pickled
-  report payloads back over their pipes; repeated sweeps reuse warm
-  workers.
-* :mod:`repro.exec.schedule` — longest-first dispatch by simulated
-  seconds, with queue-aware stealing in the pool, so a long point
-  last in spec order does not leave the pool idle behind it.
+  persistent worker processes that send pickled report payloads back
+  over their pipes; repeated sweeps reuse warm workers.  Points go out
+  in spec order, and an idle worker takes a workload it has already
+  run first.
 * :mod:`repro.exec.shard` — splits one ``shards=N`` run into N shard
   environments and merges their reports into one.
 """
@@ -32,13 +30,11 @@ from repro.exec.executor import (
     auto_workers,
     execute_point,
 )
-from repro.exec.schedule import order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import (
     RunPoint,
     code_fingerprint,
     model_fingerprint,
-    pool_key,
     run_fingerprint,
 )
 from repro.exec.workerpool import WarmPool, get_warm_pool, shutdown_warm_pool
@@ -55,9 +51,7 @@ __all__ = [
     "default_cache_dir",
     "execute_point",
     "get_warm_pool",
-    "order_lpt",
     "model_fingerprint",
-    "pool_key",
     "report_from_dict",
     "report_to_dict",
     "run_fingerprint",

@@ -19,11 +19,12 @@ in-process (no pool, plain stack traces — the debuggable path).
 Anything higher fans out over the process-global
 :class:`~repro.exec.workerpool.WarmPool` of persistent workers —
 repeated sweeps reuse already-warm processes, and each result comes
-back pickled over its worker's pipe.  Either way pending points
-run longest-first by simulated seconds (:mod:`repro.exec.schedule`).
-A pooled point that times out or loses its worker is re-run
-in-process.  Each executed point's wall time is kept in memory
-(:attr:`SweepExecutor.ledger`); nothing about scheduling persists.
+back pickled over its worker's pipe.  Either way pending points are
+handed out in spec order; on the pool an idle worker takes a workload
+it has already run ahead of the queue head.  A pooled point that times
+out or loses its worker is re-run in-process.  Each executed point's
+wall time is kept in memory (:attr:`SweepExecutor.ledger`); nothing
+about dispatch persists.
 
 Completions stream: pass ``on_point`` to :meth:`SweepExecutor.run` /
 :meth:`~SweepExecutor.run_sweep` to observe each unique point's report
@@ -33,8 +34,9 @@ finish) — long sweeps can render and persist incrementally.
 A point with ``shards=N`` expands into N shard sub-points that ride
 the same dedupe/cache/pool machinery as any other point; after the
 sweep drains, each parent's shard payloads merge into one report
-(:mod:`repro.exec.shard`).  One run of one benchmark can therefore
-use the whole pool, not just one core.
+(:mod:`repro.exec.shard`).  Each shard simulates the whole server at
+``1/N`` of the offered rate, so the merged report describes N lightly
+loaded servers, not one server measured faster.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from typing import (
 )
 
 from repro.exec.cache import RunCache, cache_from_env
-from repro.exec.schedule import order_lpt
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import RunPoint, run_fingerprint
 
@@ -64,6 +65,11 @@ if TYPE_CHECKING:  # deferred: repro.core's __init__ imports repro.exec
 
 #: Incremental completion callback: ``(point, report)`` per unique point.
 OnPoint = Callable[[RunPoint, "BenchmarkReport"], None]
+
+#: Test seam for the per-point timeout path: a per-point sleep that,
+#: unlike a monkeypatch, reaches pool workers (the pool sends the
+#: variable's value with each task).
+FAULT_DELAY_ENV = "DCPERF_FAULT_POINT_DELAY"
 
 #: cgroup v2 CPU quota file (bind-mounted read-only in containers).
 _CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
@@ -123,9 +129,7 @@ def _run_point_payload(point: RunPoint) -> Dict[str, object]:
     """Execute one point and return its lossless report payload."""
     from repro.core.benchmark import Benchmark
 
-    # Test seam for the per-point timeout path: env vars (unlike
-    # monkeypatches) propagate into pool workers.
-    delay = os.environ.get("DCPERF_FAULT_POINT_DELAY", "")
+    delay = os.environ.get(FAULT_DELAY_ENV, "")
     if delay:
         time.sleep(float(delay))
     report = Benchmark.by_name(point.workload_name).run(point.run_config())
@@ -321,10 +325,6 @@ class SweepExecutor:
 
         if todo:
             workers = min(self.max_workers, len(todo))
-            # Longest-first dispatch.  Results are keyed by fingerprint
-            # and merged in spec order below, so only completion order
-            # (and the makespan) moves.
-            todo = order_lpt(todo)
             inproc = todo
             if workers > 1:
                 stats.pool_mode = "warm"

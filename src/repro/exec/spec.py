@@ -211,17 +211,6 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def pool_key() -> str:
-    """Identity key for warm pool workers: model + code fingerprints.
-
-    A persistent worker is only as fresh as the source tree and model
-    parameters it imported at spawn time.  Keying workers on the same
-    digests the run cache uses means a source or parameter edit retires
-    stale workers exactly when it orphans stale cache entries.
-    """
-    return f"{model_fingerprint()}-{code_fingerprint()}"
-
-
 def run_fingerprint(point: RunPoint) -> str:
     """Content key for one run: the point plus model + code digests."""
     payload = {

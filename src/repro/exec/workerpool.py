@@ -1,4 +1,4 @@
-"""Warm worker pool: persistent, fingerprint-keyed sweep workers.
+"""Warm worker pool: persistent sweep workers with workload affinity.
 
 A process-global pool of persistent workers (:class:`WarmPool`) stays
 alive across sweeps — the ModelOps warm-isolated-subprocess-pool
@@ -6,22 +6,14 @@ shape — so repeated sweeps reuse already-warm processes instead of
 paying process startup plus every workload's per-process warm-setup
 again:
 
-* **Keyed workers** — each worker is tagged with the model/code
-  fingerprint it was spawned under (:func:`repro.exec.spec.pool_key`).
-  When the source tree or calibrated parameters change, the key
-  changes and stale workers self-retire on the next acquire, exactly
-  mirroring the run cache's self-invalidation.
 * **Pipe transport** — workers pickle each finished report payload
   (:func:`repro.exec.serialize.dict_to_bytes`) and send the bytes back
   over their worker pipe, a few KB per report; the parent decodes them
   with :func:`~repro.exec.serialize.dict_from_bytes`.
-* **Cost-band dispatch with affinity** — warm-setup memos (generated
-  datasets, validation results, pre-warmed cache sets) live per
-  process, so a worker prefers a pending point it has run before
-  (exact point, then workload), but only within a cost band (by
-  simulated seconds) of the queue head; past that band it steals the
-  head rather than idle.  With equal costs this is the plain
-  affinity-first scan, so repeat sweeps land on already-warm processes
+* **Workload affinity** — warm-setup memos (generated datasets,
+  validation results, pre-warmed cache sets) live per process, so an
+  idle worker takes the first pending point of a workload it has run,
+  else the queue head; repeat sweeps land on already-warm processes
   even when spec order changes.
 * **Streaming completions** — results surface through an ``on_result``
   callback as each point finishes, so callers can persist per point
@@ -44,23 +36,14 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.schedule import AFFINITY_COST_BAND, seed_cost
+from repro.exec.executor import FAULT_DELAY_ENV, _run_point_payload
 from repro.exec.serialize import dict_from_bytes, dict_to_bytes
-from repro.exec.spec import RunPoint, pool_key
-
-#: Test seam shared with the in-process path: a per-point sleep that
-#: (unlike a monkeypatch) can be carried into pool workers.
-FAULT_DELAY_ENV = "DCPERF_FAULT_POINT_DELAY"
+from repro.exec.spec import RunPoint
 
 _MSG_RUN = "run"
 _MSG_STOP = "stop"
 _MSG_OK = "ok"
 _MSG_ERR = "err"
-
-
-def _affinity_key(point: RunPoint) -> Tuple[str, int, int]:
-    """Exact-affinity identity of a point for dispatch purposes."""
-    return (point.workload_name, point.seed, point.shard_index)
 
 
 # -- worker process ------------------------------------------------------------
@@ -97,11 +80,9 @@ def _worker_main(conn) -> None:
     """Persistent worker loop: point dicts in, pickled payloads out.
 
     Top level (picklable) so the pool works under any multiprocessing
-    start method.  The heavy imports happen once, here — that is the
-    whole point of keeping the process warm.
+    start method.  The heavy imports happen once per process, on the
+    first point — that is the whole point of keeping the process warm.
     """
-    from repro.exec.executor import _run_point_payload
-
     try:
         while True:
             try:
@@ -145,30 +126,15 @@ class PoolRunStats:
     #: busy worker *was* affine — queue-aware stealing beat idling.
     steals: int = 0
 
-    def merge_into(self, other: "PoolRunStats") -> None:
-        other.workers = max(other.workers, self.workers)
-        other.spawned += self.spawned
-        other.reused += self.reused
-        other.respawned += self.respawned
-        other.bytes_shipped += self.bytes_shipped
-        other.steals += self.steals
-
 
 class _Worker:
     """One persistent worker process plus its pipe."""
 
-    def __init__(self, key: str, ctx) -> None:
-        self.key = key
+    def __init__(self, ctx) -> None:
         #: Workloads this process has already run — its per-process
         #: warm-setup memos (datasets, validation results, warm cache
         #: sets) make repeats much cheaper, so dispatch prefers them.
         self.seen: set = set()
-        #: Exact ``(workload, seed, shard_index)`` triples this process
-        #: has run.  Warm-setup memos key on the RNG entry state, which
-        #: depends on the (derived) seed — so for sharded reruns the
-        #: same shard should land on the same worker, not just the same
-        #: workload.
-        self.seen_exact: set = set()
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_main,
@@ -192,16 +158,16 @@ class _Worker:
         except OSError:
             pass
 
-    def stop(self, grace_s: float = 1.0) -> None:
-        """Cooperative shutdown; escalates to kill after ``grace_s``."""
+    def stop(self) -> None:
+        """Cooperative shutdown; escalates to kill after a second."""
         try:
             self.conn.send((_MSG_STOP,))
         except (BrokenPipeError, OSError):
             pass
-        self.proc.join(timeout=grace_s)
+        self.proc.join(timeout=1.0)
         if self.proc.is_alive():
             self.proc.kill()
-            self.proc.join(timeout=grace_s)
+            self.proc.join(timeout=1.0)
         self._release()
 
     def kill(self) -> None:
@@ -213,7 +179,7 @@ class _Worker:
 
 
 class WarmPool:
-    """A keyed pool of persistent workers, reused across sweeps.
+    """A pool of persistent workers, reused across sweeps.
 
     One pool instance normally serves the whole process (see
     :func:`get_warm_pool`); ``SweepExecutor`` acquires workers from it
@@ -225,8 +191,6 @@ class WarmPool:
         self._workers: List[_Worker] = []
         self._task_seq = 0
         self.closed = False
-        #: Lifetime totals across every ``run_points`` call.
-        self.stats = PoolRunStats()
 
     # -- lifecycle ------------------------------------------------------------
     def worker_pids(self) -> List[int]:
@@ -242,31 +206,27 @@ class WarmPool:
         self._workers = []
         self.closed = True
 
-    def _spawn(self, key: str) -> _Worker:
-        return _Worker(key, self._ctx)
-
     def _respawn(self, worker: _Worker, run: PoolRunStats) -> _Worker:
         """Kill one worker and replace it in place with a fresh one."""
         worker.kill()
-        replacement = self._spawn(worker.key)
+        replacement = _Worker(self._ctx)
         self._workers[self._workers.index(worker)] = replacement
         run.respawned += 1
         return replacement
 
-    def _ensure(self, key: str, count: int, run: PoolRunStats) -> List[_Worker]:
-        """``count`` live workers keyed ``key``; stale ones self-retire."""
+    def _ensure(self, count: int, run: PoolRunStats) -> List[_Worker]:
+        """``count`` live workers; dead ones retire."""
         if self.closed:
             raise RuntimeError("WarmPool is closed")
         keep: List[_Worker] = []
         for worker in self._workers:
-            if worker.key == key and worker.alive():
+            if worker.alive():
                 keep.append(worker)
             else:
-                # Stale fingerprint or dead process: retire it.
-                worker.stop(grace_s=0.2)
+                worker.kill()
         run.reused += min(len(keep), count)
         while len(keep) < count:
-            keep.append(self._spawn(key))
+            keep.append(_Worker(self._ctx))
             run.spawned += 1
         self._workers = keep
         run.workers = max(run.workers, count)
@@ -277,7 +237,6 @@ class WarmPool:
         self,
         todo: Sequence[Tuple[str, RunPoint]],
         workers: int,
-        key: Optional[str] = None,
         timeout_s: Optional[float] = None,
         on_result: Optional[
             Callable[[str, RunPoint, Dict[str, object]], None]
@@ -300,18 +259,13 @@ class WarmPool:
         coherent afterwards because mid-task workers are respawned
         before the exception leaves this frame.
 
-        Dispatch is cost-aware: ``todo`` is assumed to arrive
-        longest-first (:func:`repro.exec.schedule.order_lpt`), and
-        each point costs its simulated seconds
-        (:func:`~repro.exec.schedule.seed_cost`).  A worker prefers a
-        point it has run before (exact point, then workload) only
-        *within a cost band* of the queue head — it never defers the
-        head for something far smaller.  When the head is another busy
-        worker's affine point, the idle worker steals it instead of
-        idling (counted in ``steals``).  With equal costs the band
-        holds the whole queue and dispatch is the plain affinity-first
-        scan.  Either way results are keyed by fingerprint, so
-        completion order never changes the merged output.
+        Dispatch follows ``todo``'s order with workload affinity: an
+        idle worker takes the first pending point of a workload it has
+        run, else the queue head.  When that head's workload is one a
+        busy worker has run, the idle worker steals it instead of
+        idling (counted in ``steals``).  Results are keyed by
+        fingerprint, so completion order never changes the merged
+        output.
 
         ``on_timing`` observes ``(fingerprint, wall seconds)`` per
         completed point.
@@ -322,50 +276,27 @@ class WarmPool:
         timeouts = 0
         if not todo:
             return completed, lost, timeouts, run
-        pool_workers = self._ensure(
-            key or pool_key(), max(1, min(workers, len(todo))), run
-        )
+        pool_workers = self._ensure(max(1, min(workers, len(todo))), run)
         pending = deque(todo)
         delay = os.environ.get(FAULT_DELAY_ENV, "")
-        costs = {fp: seed_cost(point) for fp, point in todo}
         # worker -> (task_id, fingerprint, point, deadline, started)
         inflight: Dict[
             _Worker, Tuple[int, str, RunPoint, Optional[float], float]
         ] = {}
 
         def take(worker: _Worker) -> Tuple[str, RunPoint]:
-            """Affinity within the head's cost band, stealing over
-            idling past it — a worker never idles while work is
-            pending."""
-            floor = costs[pending[0][0]] / AFFINITY_COST_BAND
-            exact_index = None
-            workload_index = None
+            """Affinity first, stealing over idling: a worker never
+            idles while work is pending."""
             for index, (fp, point) in enumerate(pending):
-                if costs[fp] < floor:
-                    # Too small to justify deferring the head: taking
-                    # it first would forfeit the LPT makespan bound.
-                    continue
-                if _affinity_key(point) in worker.seen_exact:
-                    exact_index = index
-                    break
-                if (
-                    workload_index is None
-                    and point.workload_name in worker.seen
-                ):
-                    workload_index = index
-            index = exact_index if exact_index is not None else workload_index
-            if index is not None:
-                fp, point = pending[index]
-                del pending[index]
-                return fp, point
-            # No affine work in the band.  Take the head even when it
-            # is another (busy) worker's affine point: the thief pays
-            # that workload's warm-setup once, the sweep keeps all its
+                if point.workload_name in worker.seen:
+                    del pending[index]
+                    return fp, point
+            # No affine work.  Take the head even when it is another
+            # (busy) worker's affine point: the thief pays that
+            # workload's warm-setup once, the sweep keeps all its
             # workers busy — stealing beats idling.
             fp, point = pending.popleft()
-            if point.workload_name not in worker.seen and any(
-                point.workload_name in other.seen for other in inflight
-            ):
+            if any(point.workload_name in other.seen for other in inflight):
                 run.steals += 1
             return fp, point
 
@@ -381,7 +312,6 @@ class WarmPool:
                     worker = self._respawn(worker, run)
                     continue
                 worker.seen.add(point.workload_name)
-                worker.seen_exact.add(_affinity_key(point))
                 now = time.monotonic()
                 deadline = now + timeout_s if timeout_s is not None else None
                 inflight[worker] = (task_id, fp, point, deadline, now)
@@ -453,8 +383,6 @@ class WarmPool:
             for worker in list(inflight):
                 self._respawn(worker, run)
             raise
-        finally:
-            run.merge_into(self.stats)
 
         # Only reachable with points undone if every dispatch attempt
         # failed (e.g. workers dying faster than they respawn).

@@ -18,6 +18,8 @@ import heapq
 from math import inf as _INF
 from typing import Dict, List
 
+_BAD_LATENCY = "latency must be finite and non-negative, got {!r}"
+
 
 class BucketedHistogram:
     """Log-linear (HDR-style) histogram over non-negative seconds.
@@ -85,7 +87,15 @@ class BucketedHistogram:
 
     # -- recording -------------------------------------------------------------
     def record(self, seconds: float, count: int = 1) -> None:
-        """Count ``count`` samples of ``seconds`` (``count`` >= 1)."""
+        """Count ``count`` samples of ``seconds`` (``count`` >= 1).
+
+        ``seconds`` must be finite and >= 0: no bucket holds ``nan``,
+        ``inf`` or a negative value.  The check runs before any state
+        changes.
+        """
+        # One chained comparison: false for nan, inf and negatives.
+        if not 0.0 <= seconds < _INF:
+            raise ValueError(_BAD_LATENCY.format(seconds))
         units = self._units(seconds)
         index = self._index(units)
         self._counts[index] = self._counts.get(index, 0) + count
@@ -203,16 +213,15 @@ class LatencyRecorder:
         every exact percentile, and the hdr backend cannot bucket
         ``nan`` or ``inf``.  The check runs before any state changes.
         """
-        # One chained comparison: false for nan, inf and negatives.
-        if not 0.0 <= latency_seconds < _INF:
-            raise ValueError(
-                f"latency must be finite and non-negative, got {latency_seconds!r}"
-            )
         if count < 1:
             raise ValueError("count must be >= 1")
         if self._hist is not None:
+            # The histogram makes the same check.
             self._hist.record(latency_seconds, count)
             return
+        # One chained comparison: false for nan, inf and negatives.
+        if not 0.0 <= latency_seconds < _INF:
+            raise ValueError(_BAD_LATENCY.format(latency_seconds))
         if count == 1:
             self._samples.append(latency_seconds)
         else:

@@ -201,9 +201,11 @@ class WindowedSloTracker:
             self.errors += 1
             self._window_errors += 1
         else:
-            self.completions += 1
+            # The histograms refuse nan, inf and negative latencies
+            # before any counter moves.
             self._window_hist.record(latency)
             self._cumulative_hist.record(latency)
+            self.completions += 1
             if latency <= self.slo_latency_s:
                 self.slo_met += 1
                 self._window_slo_met += 1

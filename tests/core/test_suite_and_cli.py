@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cli import main
 from repro.core.suite import DCPerfSuite, FLEET_POWER_WEIGHTS
+from repro.exec.workerpool import shutdown_warm_pool
 
 
 class TestSuite:
@@ -146,7 +147,9 @@ class TestCli:
         ``DCPerfSuite()`` measures the full window: one seed gives the
         CLI the numbers of ``DCPerfSuite(early_stop=True)``, and with
         ``--no-early-stop`` those of the library default.  With
-        ``--sku SKU1`` the 9 baseline points are the 9 target points."""
+        ``--sku SKU1`` the 9 baseline points are the 9 target points.
+        ``--parallel 2``, the warm-pool path, writes the same JSON as
+        the in-process sweep."""
         path = str(tmp_path / "suite.json")
 
         def cli(*flags):
@@ -162,6 +165,11 @@ class TestCli:
 
         early = cli()
         assert early == library(early_stop=True)
+        shutdown_warm_pool()
+        try:
+            assert cli("--parallel", "2") == early
+        finally:
+            shutdown_warm_pool()
         full = cli("--no-early-stop")
         assert full == library()
         assert early != full

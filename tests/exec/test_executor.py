@@ -1,17 +1,32 @@
-"""Tests for the sweep executor: dedup, caching, determinism."""
+"""Tests for the sweep executor: dedup, caching, determinism, dispatch
+order, worker counts and progress."""
+
+import json
+import os
 
 import pytest
 
+from repro.core.benchmark import Benchmark
 from repro.core.suite import DCPerfSuite
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor, auto_workers, execute_point
-from repro.exec.spec import RunPoint
+from repro.exec.executor import (
+    SweepExecutor,
+    _cgroup_cpu_quota,
+    auto_workers,
+    execute_point,
+)
+from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
+from repro.exec.workerpool import shutdown_warm_pool
 
 FAST = dict(measure_seconds=0.5, warmup_seconds=0.2)
 
 
 def fast_point(benchmark="taobench", **kwargs):
     return RunPoint(benchmark=benchmark, **{**FAST, **kwargs})
+
+
+def sweep_bytes(reports):
+    return [json.dumps(r.as_dict(), sort_keys=True) for r in reports]
 
 
 class TestSweepExecutor:
@@ -42,6 +57,24 @@ class TestSweepExecutor:
         points = [fast_point("feedsim"), fast_point("taobench")]
         reports = executor.run(points)
         assert [r.benchmark for r in reports] == ["feedsim", "taobench"]
+
+    def test_runs_points_in_spec_order(self, monkeypatch):
+        """Pending points run in spec order, whatever their windows:
+        a 0.3 s window listed before a 0.6 s one runs first."""
+        measured = []
+        original = Benchmark.run
+
+        def recording_run(self, config=None, hooks=None):
+            measured.append(config.measure_seconds)
+            return original(self, config, hooks)
+
+        monkeypatch.setattr(Benchmark, "run", recording_run)
+        executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
+        executor.run([
+            fast_point(seed=31, measure_seconds=0.3),
+            fast_point(seed=31, measure_seconds=0.6),
+        ])
+        assert measured == [0.3, 0.6]
 
     def test_cache_round_trip(self, tmp_path):
         cache = RunCache(str(tmp_path))
@@ -187,3 +220,140 @@ class TestBaselineIsolation:
         suite.run("SKU1", kernel="6.9")
         suite.run("SKU1", kernel="6.4")
         assert len(suite.scoreboard._baselines) == 2
+
+
+class TestSchedulingByteIdentity:
+    """Dispatch moves completion order, never bytes: in-process and on
+    the warm pool, a sweep merges to the reports of running each point
+    with ``execute_point`` in spec order."""
+
+    POINTS = [
+        fast_point("taobench", sku="SKU1"),
+        fast_point("feedsim", sku="SKU2"),
+        fast_point("djangobench", sku="SKU1"),
+        fast_point("taobench", sku="SKU3"),
+        fast_point("mediawiki", sku="SKU2", measure_seconds=0.6),
+    ]
+
+    @pytest.fixture(scope="class")
+    def spec_order_reference(self):
+        return sweep_bytes(execute_point(p) for p in self.POINTS)
+
+    def test_inproc_matches_spec_order(self, spec_order_reference):
+        executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
+        assert sweep_bytes(executor.run(self.POINTS)) == spec_order_reference
+
+    def test_warm_pool_matches_spec_order(self, spec_order_reference):
+        shutdown_warm_pool()
+        try:
+            executor = SweepExecutor(
+                max_workers=3, cache=None, use_cache=False
+            )
+            reports = executor.run(self.POINTS)
+            assert executor.last_stats.pool_mode == "warm"
+            assert sweep_bytes(reports) == spec_order_reference
+        finally:
+            shutdown_warm_pool()
+
+
+class TestAutoWorkersLimits:
+    def test_respects_sched_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", lambda: None
+        )
+        assert auto_workers() == 2
+
+    def test_cgroup_quota_clamps_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", lambda: 3
+        )
+        assert auto_workers() == 3
+
+    def test_cgroup_cpu_max_parsing(self, tmp_path):
+        path = tmp_path / "cpu.max"
+        path.write_text("150000 100000\n")
+        assert _cgroup_cpu_quota(str(path)) == 2
+        path.write_text("max 100000\n")
+        assert _cgroup_cpu_quota(str(path)) is None
+        path.write_text("garbage\n")
+        assert _cgroup_cpu_quota(str(path)) is None
+        assert _cgroup_cpu_quota(str(tmp_path / "missing")) is None
+
+    def test_never_below_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", lambda: 1
+        )
+        assert auto_workers() == 1
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        # macOS/Windows: os.sched_getaffinity does not exist at all.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", lambda: None
+        )
+        assert auto_workers() == 6
+
+    def test_cpu_count_none_means_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", lambda: None
+        )
+        assert auto_workers() == 1
+
+    def test_quota_probe_is_linux_only(self, monkeypatch):
+        # On a non-Linux platform the cgroup pseudo-file is never
+        # consulted, even if a same-named path would parse.
+        import repro.exec.executor as executor_mod
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(executor_mod.sys, "platform", "darwin")
+
+        def boom():
+            raise AssertionError("cgroup probe ran on a non-Linux platform")
+
+        monkeypatch.setattr(
+            "repro.exec.executor._cgroup_cpu_quota", boom
+        )
+        assert auto_workers() == 8
+
+
+class TestProgressEta:
+    """Progress is plain ``done``/``total`` counts; per-point wall
+    times stay in :attr:`SweepExecutor.ledger`."""
+
+    def test_cold_ledger_keeps_plain_counts(self):
+        executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
+        seen = []
+        executor.run(
+            [fast_point(seed=21), fast_point("feedsim", seed=21)],
+            on_point=lambda p, r: seen.append(executor.progress()),
+        )
+        assert seen == [{"done": 1, "total": 2}, {"done": 2, "total": 2}]
+
+    def test_ledger_records_during_sweeps(self, tmp_path):
+        cache = RunCache(str(tmp_path))
+        executor = SweepExecutor(max_workers=1, cache=cache)
+        points = [fast_point(seed=23), fast_point(seed=24, shards=2)]
+        executor.run(points)
+        assert executor.last_stats.executed == 3  # a plain point, 2 shards
+        times = executor.ledger.by_fingerprint
+        assert len(times) == 3
+        assert all(entry["seconds"] > 0 for entry in times.values())
+        # A fully cached rerun records nothing.
+        rerun = SweepExecutor(max_workers=1, cache=RunCache(str(tmp_path)))
+        rerun.run(points)
+        assert rerun.last_stats.executed == 0
+        assert rerun.ledger.by_fingerprint == {}
+        # The directory holds the 4 cache entries (2 points, 2 shards)
+        # and no cost ledger sidecar.
+        assert not os.path.exists(str(tmp_path / "cost_ledger.json"))
+        assert cache.info().by_schema == {str(CACHE_SCHEMA_VERSION): 4}

@@ -1,4 +1,4 @@
-"""Warm worker pool: reuse, keying, crash/timeout recovery, teardown.
+"""Warm worker pool: reuse, affinity, crash/timeout recovery, teardown.
 
 These tests exercise :mod:`repro.exec.workerpool` both directly (pool
 semantics) and through :class:`SweepExecutor` (the ``pool_mode="warm"``
@@ -16,8 +16,13 @@ import pytest
 
 from repro.exec.executor import SweepExecutor, _run_point_payload
 from repro.exec.serialize import dict_to_bytes
-from repro.exec.spec import RunPoint, pool_key, run_fingerprint
-from repro.exec.workerpool import WarmPool, get_warm_pool, shutdown_warm_pool
+from repro.exec.spec import RunPoint, run_fingerprint
+from repro.exec.workerpool import (
+    PoolRunStats,
+    WarmPool,
+    get_warm_pool,
+    shutdown_warm_pool,
+)
 
 FAST = dict(measure_seconds=0.3, warmup_seconds=0.1)
 
@@ -54,7 +59,6 @@ class TestWarmPoolLifecycle:
         _, _, _, second = pool.run_points(as_todo(points), workers=2)
         assert second.spawned == 0 and second.reused == 2
         assert set(pool.worker_pids()) == pids
-        assert pool.stats.spawned == 2 and pool.stats.reused == 2
 
     def test_close_leaves_no_orphans(self):
         pool = WarmPool()
@@ -101,18 +105,7 @@ class TestWarmPoolLifecycle:
 
 
 class TestWorkerKeying:
-    def test_stale_key_workers_self_retire(self, pool):
-        todo = as_todo([fast_point()])
-        pool.run_points(todo, workers=1, key="key-A")
-        old_pids = pool.worker_pids()
-        _, _, _, run = pool.run_points(todo, workers=1, key="key-B")
-        assert run.spawned == 1 and run.reused == 0
-        assert_dead(old_pids)
-        assert pool.worker_pids() != old_pids
-
-    def test_default_key_is_model_plus_code(self, pool):
-        pool.run_points(as_todo([fast_point()]), workers=1)
-        assert all(w.key == pool_key() for w in pool._workers)
+    """Which workers a sweep keeps: every live one, no dead one."""
 
     def test_dead_worker_replaced_on_next_acquire(self, pool):
         pool.run_points(as_todo([fast_point()]), workers=1)
@@ -178,8 +171,46 @@ class TestAffinityDispatch:
         pool.run_points(as_todo([point]), workers=1)
         worker = pool._workers[0]
         assert worker.seen == {point.workload_name}
-        replacement = pool._respawn(worker, pool.stats)
+        replacement = pool._respawn(worker, PoolRunStats())
         assert replacement.seen == set()
+
+    def test_affinity_outranks_a_longer_head(self, pool):
+        """Window length does not gate affinity: a worker that has run
+        taobench takes a pending 0.4 s taobench point before the 2.0 s
+        feedsim point at the head of the queue."""
+        pool.run_points(as_todo([fast_point(seed=1)]), workers=1)
+        head = fast_point("feedsim", measure_seconds=1.5, warmup_seconds=0.5)
+        affine = fast_point(seed=2)
+        order = []
+        pool.run_points(
+            as_todo([head, affine]),
+            workers=1,
+            on_result=lambda fp, point, payload: order.append(point),
+        )
+        assert order == [affine, head]
+
+
+class TestQueueAwareStealing:
+    def test_idle_worker_steals_affinity_bound_head(self):
+        """Two workers, one affine: the second worker takes the
+        affine-bound head instead of idling, and the steal is
+        counted."""
+        pool = WarmPool()
+        try:
+            warmup = fast_point(seed=1)
+            pool.run_points(
+                [(run_fingerprint(warmup), warmup)], workers=1
+            )
+            assert pool.alive_count() == 1
+            todo = [
+                (run_fingerprint(p), p)
+                for p in (fast_point(seed=2), fast_point(seed=3))
+            ]
+            completed, lost, _, run = pool.run_points(todo, workers=2)
+            assert not lost and len(completed) == 2
+            assert run.steals >= 1
+        finally:
+            pool.close()
 
 
 class TestCrashRecovery:

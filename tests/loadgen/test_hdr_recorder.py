@@ -1,5 +1,6 @@
 """BucketedHistogram and the LatencyRecorder HDR backend."""
 
+import math
 import random
 
 import pytest
@@ -81,6 +82,21 @@ class TestHistogramQueries:
             h.max()
         with pytest.raises(ValueError):
             h.percentile(101)
+
+    @pytest.mark.parametrize(
+        "latency", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"]
+    )
+    def test_unreportable_latency_rejected(self, latency):
+        # Refused before any state changes: a negative value would land
+        # in a negative bucket and drag every percentile below zero.
+        h = BucketedHistogram()
+        h.record(0.002)
+        for count in (1, 3):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                h.record(latency, count)
+        assert h.total == 1 and h.bucket_count == 1
+        assert h.max() == 0.002
+        assert h.percentile(0) == pytest.approx(0.002, rel=0.01)
 
     def test_clear(self):
         h = BucketedHistogram()

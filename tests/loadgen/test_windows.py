@@ -1,5 +1,7 @@
 """WindowedSloTracker: completion-counted windows and SLO signals."""
 
+import math
+
 import pytest
 
 from repro.loadgen.windows import WindowedSloTracker, WindowSnapshot
@@ -35,6 +37,20 @@ class TestValidation:
         tracker = make_tracker()
         with pytest.raises(ValueError):
             tracker.add_stall(-1.0)
+
+    @pytest.mark.parametrize(
+        "latency", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"]
+    )
+    def test_unreportable_latency_rejected(self, latency):
+        """A completion whose latency no histogram can hold is refused
+        before it counts as a completion or as meeting the SLO."""
+        tracker = make_tracker()
+        tracker.on_complete(0.002)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tracker.on_complete(latency)
+        assert tracker.completions == 1 and tracker.slo_met == 1
+        p50 = tracker.cumulative_percentile(50)
+        assert p50 == pytest.approx(0.002, rel=0.01)
 
 
 class TestWindowLifecycle:

@@ -363,4 +363,10 @@ EOF
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 
+# A report, not a gate: the size the design-quality aim tracks next to
+# the bench numbers.
+echo "== line counts (wc -l) =="
+echo "src/: $(find src -name '*.py' -exec cat {} + | wc -l)"
+echo "src/repro/exec/: $(cat src/repro/exec/*.py | wc -l)"
+
 echo "== verify ok =="
