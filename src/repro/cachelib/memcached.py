@@ -31,6 +31,22 @@ class MemcachedError(Exception):
     """Raised on protocol violations (bad key/value)."""
 
 
+def check_key(key: str) -> None:
+    """Raise :class:`MemcachedError` unless ``key`` is a valid key."""
+    if key.isascii():
+        # ASCII fast path: byte length equals character length, and
+        # the whitespace scan collapses to one set probe.
+        if not key or len(key) > MAX_KEY_BYTES:
+            raise MemcachedError(f"invalid key length: {len(key)}")
+        if not _ASCII_WHITESPACE.isdisjoint(key):
+            raise MemcachedError("keys must not contain whitespace")
+    else:
+        if len(key.encode("utf-8")) > MAX_KEY_BYTES:
+            raise MemcachedError(f"invalid key length: {len(key)}")
+        if any(c.isspace() for c in key):
+            raise MemcachedError("keys must not contain whitespace")
+
+
 class MemcachedServer:
     """A single Memcached instance."""
 
@@ -50,18 +66,7 @@ class MemcachedServer:
         validated = self._validated
         if key in validated:
             return
-        if key.isascii():
-            # ASCII fast path: byte length equals character length,
-            # and the whitespace scan collapses to one set probe.
-            if not key or len(key) > MAX_KEY_BYTES:
-                raise MemcachedError(f"invalid key length: {len(key)}")
-            if not _ASCII_WHITESPACE.isdisjoint(key):
-                raise MemcachedError("keys must not contain whitespace")
-        else:
-            if len(key.encode("utf-8")) > MAX_KEY_BYTES:
-                raise MemcachedError(f"invalid key length: {len(key)}")
-            if any(c.isspace() for c in key):
-                raise MemcachedError("keys must not contain whitespace")
+        check_key(key)
         if len(validated) >= _VALIDATION_MEMO_MAX:
             validated.clear()
         validated.add(key)
@@ -92,14 +97,17 @@ class MemcachedServer:
         return self.cache.delete(key)
 
     def warm(self, items) -> None:
-        """Restore a recorded pre-warm fill into an empty cache.
+        """Load a pre-warm fill into an empty cache.
 
-        The fill lands through :meth:`LruCache.load`, one
+        Leaves the state that :meth:`set` calls of the same items, in
+        order, would leave for a fill that evicts nothing.  The fill
+        lands through :meth:`LruCache.load`, one
         ``OrderedDict.update`` that creates no per-entry object, so
         TaoBench's ~54k-entry pre-warm gives the cyclic garbage
-        collector nothing new to traverse.  The items must have passed
-        validation when the fill was first recorded, so they skip
-        re-validation and seed the validation memo directly.
+        collector nothing new to traverse.  Every key must already have
+        passed :func:`check_key` (TaoBench's fill checks its keys once,
+        when it is built), so the keys seed the validation memo
+        directly.
         """
         self.cache.load(items)
         self._validated.update(key for key, _ in items)

@@ -290,17 +290,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         what = "stale cached run(s)" if args.stale else "cached run(s)"
         print(f"removed {removed} {what} from {cache.directory}")
         return 0
-    from repro.exec.spec import CACHE_SCHEMA_VERSION
-
     info = cache.info()
     print(f"directory: {info.directory}")
     print(f"entries:   {info.entries}")
     print(f"size:      {info.total_bytes / 1024:.1f} KiB")
-    for schema in sorted(info.by_schema):
-        marker = (
-            " (current)" if schema == str(CACHE_SCHEMA_VERSION) else ""
-        )
-        print(f"  schema {schema}: {info.by_schema[schema]}{marker}")
+    print(f"  current: {info.current}")
+    print(f"  stale:   {info.stale}")
     return 0
 
 
@@ -443,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument(
         "--stale",
         action="store_true",
-        help="with clear: drop only entries written under an older "
-        "cache schema version (plus corrupt files), keeping current "
-        "entries warm",
+        help="with clear: drop only entries the current code can never "
+        "serve (orphaned by a code or model edit, or corrupt), keeping "
+        "current entries warm",
     )
     p_cache.set_defaults(func=_cmd_cache)
 

@@ -9,10 +9,10 @@ the calibrated model parameters, and the package source — so editing
 any of them simply orphans the old entries rather than serving stale
 results.  Writes are atomic (temp file + rename) so concurrent sweeps
 sharing one directory cannot corrupt each other.  Every ``*.json`` file
-in the directory counts as an entry: a file that is not a current
-entry (such as the ``cost_ledger.json`` sidecar older versions wrote)
-is listed as ``unversioned`` or ``corrupt``, is never served, and goes
-with ``clear(stale_only=True)``.
+in the directory counts as an entry: a file the running code can never
+serve (an orphaned entry, a corrupt file, or the ``cost_ledger.json``
+sidecar older versions wrote) is listed as stale and goes with
+``clear(stale_only=True)``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import os
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
+from repro.exec.spec import RunPoint, run_fingerprint
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "DCPERF_CACHE_DIR"
@@ -110,19 +110,13 @@ class CacheInfo:
     directory: str
     entries: int
     total_bytes: int
-    #: Entry counts grouped by the cache schema version that wrote
-    #: them.  Keys are stringified versions ("6"), plus "unversioned"
-    #: for entries written before schema tagging and "corrupt" for
-    #: files that no longer parse.
-    by_schema: Dict[str, int] = field(default_factory=dict)
+    #: Entries the running code can never serve (see
+    #: :meth:`RunCache.is_stale`); the rest are current.
+    stale: int
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "directory": self.directory,
-            "entries": self.entries,
-            "total_bytes": self.total_bytes,
-            "by_schema": dict(self.by_schema),
-        }
+    @property
+    def current(self) -> int:
+        return self.entries - self.stale
 
 
 class RunCache:
@@ -177,7 +171,6 @@ class RunCache:
             return None
         entry = {
             "fingerprint": fingerprint,
-            "schema": CACHE_SCHEMA_VERSION,
             "point": point.as_dict(),
             "created_unix": time.time(),
             "report": payload,
@@ -206,53 +199,51 @@ class RunCache:
                 yield os.path.join(self.directory, name)
 
     @staticmethod
-    def _entry_schema(path: str) -> str:
-        """The schema bucket one entry file belongs to."""
+    def is_stale(path: str) -> bool:
+        """Whether the running code can never serve this entry file.
+
+        An entry is current when it parses and its stored fingerprint
+        is the one the running code gives its point.  The fingerprint
+        digests the model parameters and the package source, so any
+        edit to either orphans every older entry.
+        """
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-        except (OSError, ValueError):
-            return "corrupt"
-        if not isinstance(entry, dict):
-            return "corrupt"
-        schema = entry.get("schema")
-        if schema is None:
-            return "unversioned"
-        return str(schema)
+            point = RunPoint.from_dict(entry["point"])
+        except (OSError, ValueError, TypeError, KeyError):
+            return True
+        return entry.get("fingerprint") != run_fingerprint(point)
 
     def info(self) -> CacheInfo:
         entries = 0
         total = 0
-        by_schema: Dict[str, int] = {}
+        stale = 0
         for path in self._entry_paths():
             try:
                 total += os.path.getsize(path)
             except OSError:
                 continue
             entries += 1
-            bucket = self._entry_schema(path)
-            by_schema[bucket] = by_schema.get(bucket, 0) + 1
+            stale += self.is_stale(path)
         return CacheInfo(
             directory=self.directory,
             entries=entries,
             total_bytes=total,
-            by_schema=by_schema,
+            stale=stale,
         )
 
     def clear(self, stale_only: bool = False) -> int:
         """Delete cached runs; returns the number removed.
 
-        With ``stale_only`` set, only entries written under an older
-        (or missing) cache schema version are dropped — along with any
-        corrupt files — leaving current entries warm.  The fingerprint
-        already rotates when inputs change, so stale entries can never
-        be *served*; this merely reclaims the disk they occupy.
+        With ``stale_only`` set, only stale entries go (see
+        :meth:`is_stale`), corrupt files among them, and every entry
+        the running code can serve stays warm.  A stale entry is never
+        served; this reclaims the disk it occupies.
         """
         removed = 0
         for path in self._entry_paths():
-            if stale_only and self._entry_schema(path) == str(
-                CACHE_SCHEMA_VERSION
-            ):
+            if stale_only and not self.is_stale(path):
                 continue
             try:
                 os.unlink(path)

@@ -21,30 +21,6 @@ from typing import Dict
 
 from repro.workloads.base import RunConfig
 
-#: Bump to invalidate every cached run when the cache layout itself
-#: changes (not needed for model/code edits — those are digested).
-#: 2: RunPoint grew the ``faults`` scenario field and the model digest
-#: now covers the fault-scenario registry.
-#: 3: RunPoint grew the ``early_stop`` field (convergence-based early
-#: termination of the measurement window).
-#: 4: storage subsystem — StorageBench joined the suite, the report
-#: grew the ``iostat`` hook section, and the ``disk_degraded`` fault
-#: scenario landed; every report's shape changed.
-#: 5: in-run SLO control plane — the report grew the ``slo_control``
-#: hook section, the ``resilience`` section grew stall-adjusted
-#: SLO/goodput fields, and scenarios carry control policies + load
-#: multipliers; every report's shape changed.
-#: 6: intra-run sharding — RunPoint grew ``shards``/``shard_index``,
-#: every report grew the ``sharding`` hook section and a ``shards``
-#: system field, and cache entries record the schema version they were
-#: written under; every report's shape changed.
-#: 7: LLM token serving — the llmbench family joined the suite, every
-#: report grew the ``llm_serving`` hook section, and the SLO section
-#: grew token-level TTFT/inter-token percentiles; every report's shape
-#: changed.
-CACHE_SCHEMA_VERSION = 7
-
-
 def shard_seed(seed: int, index: int) -> int:
     """Derive the seed for shard ``index`` of a run seeded ``seed``.
 
@@ -165,7 +141,6 @@ def model_fingerprint() -> str:
     from repro.workloads.scenarios import FAULT_SCENARIOS
 
     payload = {
-        "schema": CACHE_SCHEMA_VERSION,
         "skus": {name: asdict(sku) for name, sku in SKU_REGISTRY.items()},
         "kernels": {v: asdict(k) for v, k in _KERNELS.items()},
         "profiles": {

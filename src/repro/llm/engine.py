@@ -237,18 +237,6 @@ class EngineStats:
         self.prefix_lookups = 0
         self.prefix_hits = 0
 
-    def merge_from(self, other: "EngineStats") -> None:
-        self.steps += other.steps
-        self.completions += other.completions
-        self.prefill_tokens += other.prefill_tokens
-        self.cached_prefix_tokens += other.cached_prefix_tokens
-        self.decoded_tokens += other.decoded_tokens
-        self.preemptions += other.preemptions
-        self.admission_blocked_steps += other.admission_blocked_steps
-        self.max_queue_depth = max(self.max_queue_depth, other.max_queue_depth)
-        self.prefix_lookups += other.prefix_lookups
-        self.prefix_hits += other.prefix_hits
-
 
 class _PrefixCache:
     """Tiny LRU of shared-prefix group ids (per replica)."""

@@ -3,24 +3,27 @@
 This package provides the event-driven kernel on which every DCPerf
 workload model runs: a deterministic event loop (:class:`Environment`),
 generator-based processes (:class:`Process`), waitable events
-(:class:`Event`, :class:`Timeout`), and synchronisation primitives
-(:class:`Store`, :class:`Resource`).
+(:class:`Event`, :class:`Timeout`), their combinators (:func:`all_of`,
+:func:`any_of`), a counted resource (:class:`Resource`), and named
+random streams (:class:`RngStreams`).
 
 The design intentionally mirrors the small core of SimPy so that
 workload models read like ordinary coroutine code::
 
-    def client(env, store):
-        yield env.timeout(1.0)
-        item = yield store.get()
+    def client(env, cores):
+        with cores.request() as slot:
+            yield slot
+            yield env.timeout(1.0)
 
     env = Environment()
-    env.process(client(env, store))
+    cores = Resource(env, capacity=2)
+    env.process(client(env, cores))
     env.run(until=10.0)
 """
 
 from repro.sim.engine import Environment, Event, Interrupt, Process, Timeout
 from repro.sim.events import all_of, any_of
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -31,8 +34,6 @@ __all__ = [
     "Timeout",
     "all_of",
     "any_of",
-    "Store",
-    "PriorityStore",
     "Resource",
     "RngStreams",
 ]

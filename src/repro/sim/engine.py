@@ -48,17 +48,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation engine."""
 
 
-class StopSimulation(Exception):
-    """Halts :meth:`Environment.run` when raised inside a callback.
-
-    Bounded runs (``run(until=...)``) no longer rely on this exception —
-    they stop on a queue-bound time check — but raising it from model
-    code remains a supported way to end a run immediately.  Prefer
-    :meth:`Environment.stop`, which does the same without unwinding
-    through generator frames.
-    """
-
-
 PENDING = object()
 
 
@@ -307,8 +296,6 @@ class Process(Event):
             env._seq += 1
             return
         except BaseException as exc:
-            if isinstance(exc, StopSimulation):
-                raise
             # Any other uncaught exception fails the process event, so
             # waiters (joins, races, resilience retries) see it as a
             # failure.  If nobody waits on the process, the orphan rule
@@ -599,8 +586,6 @@ class Environment:
                         raise event._value
                 if self._stopped:
                     return
-        except StopSimulation:
-            return
         finally:
             self._until, self._fanout = saved
         # Queue drained before the bound: a bounded run still ends with

@@ -14,12 +14,13 @@ import math
 import random
 from array import array
 from bisect import bisect, bisect_left
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import truediv
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-#: Ranks per running-sum chunk when a Zipf CDF is built: the build
-#: holds one chunk as a list of floats, never the whole table.
+#: Ranks per chunk when a Zipf CDF is built: the build holds one chunk
+#: of weights or sums as a list of floats, never the whole table.
 _CDF_CHUNK = 65_536
 
 
@@ -48,13 +49,6 @@ class RngStreams:
         return RngStreams(int.from_bytes(digest[:8], "big"))
 
 
-def exponential(rng: random.Random, mean: float) -> float:
-    """Sample an exponential inter-arrival time with the given mean."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    return rng.expovariate(1.0 / mean)
-
-
 def exponential_batch(rng: random.Random, rate: float, n: int) -> List[float]:
     """Pre-sample ``n`` exponential inter-arrival gaps at ``rate``.
 
@@ -73,15 +67,16 @@ def exponential_batch(rng: random.Random, rate: float, n: int) -> List[float]:
 
 
 class LognormalSampler:
-    """Lognormal sampling with ``(mu, sigma)`` precomputed once.
+    """Lognormal sampling parameterised by mean and coefficient of variation.
 
-    ``lognormal_from_mean_cv`` re-derives the underlying parameters —
-    two ``log`` calls and a ``sqrt`` — on every draw, which the profile
-    of a TaoBench run shows dominating the object-size path (56k draws
-    per 2-second run).  A sampler freezes the ``(mean, cv)``
-    parameterisation and draws are *draw-order-identical* to the
-    function form: each ``sample`` consumes exactly one
-    ``rng.lognormvariate(mu, sigma)`` with bit-identical arguments.
+    Object-size and service-time distributions in production caches are
+    heavy-tailed; lognormal by ``(mean, cv)`` matches the calibration
+    style used in TaoBench.  The underlying ``(mu, sigma)`` — two
+    ``log`` calls and a ``sqrt`` — are derived once, not per draw (the
+    object-size path of a TaoBench run makes 56k draws per 2 seconds).
+    Each :meth:`sample` consumes exactly one
+    ``rng.lognormvariate(mu, sigma)``.  Get samplers through
+    :func:`lognormal_sampler`, which shares one per parameterisation.
     """
 
     __slots__ = ("mean", "cv", "mu", "sigma")
@@ -96,66 +91,62 @@ class LognormalSampler:
         self.sigma = math.sqrt(sigma2)
 
     def sample(self, rng: random.Random) -> float:
-        """One draw; identical to ``lognormal_from_mean_cv(rng, mean, cv)``."""
+        """One draw from the lognormal."""
         return rng.lognormvariate(self.mu, self.sigma)
 
-    def sample_batch(self, rng: random.Random, n: int) -> List[float]:
-        """Pre-sample ``n`` draws in exactly the one-at-a-time order."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        lognormvariate = rng.lognormvariate
-        mu = self.mu
-        sigma = self.sigma
-        return [lognormvariate(mu, sigma) for _ in range(n)]
 
-
-#: Memoized samplers keyed by (mean, cv).  Workload models use a small
-#: fixed set of parameterisations, so the memo stays tiny; the bound
-#: protects against pathological callers with unbounded parameter sets.
-_LOGNORMAL_SAMPLERS: Dict[Tuple[float, float], LognormalSampler] = {}
-_LOGNORMAL_MEMO_MAX = 1024
-
-
+@lru_cache(maxsize=1024)
 def lognormal_sampler(mean: float, cv: float) -> LognormalSampler:
-    """Return (creating and memoizing if needed) a sampler for (mean, cv)."""
-    key = (mean, cv)
-    sampler = _LOGNORMAL_SAMPLERS.get(key)
-    if sampler is None:
-        sampler = LognormalSampler(mean, cv)
-        if len(_LOGNORMAL_SAMPLERS) >= _LOGNORMAL_MEMO_MAX:
-            _LOGNORMAL_SAMPLERS.clear()
-        _LOGNORMAL_SAMPLERS[key] = sampler
-    return sampler
+    """The shared sampler for ``(mean, cv)``.
 
-
-def lognormal_from_mean_cv(rng: random.Random, mean: float, cv: float) -> float:
-    """Sample a lognormal with the given mean and coefficient of variation.
-
-    Object-size and service-time distributions in production caches are
-    heavy-tailed; lognormal parameterised by (mean, cv) matches the
-    calibration style used in TaoBench.  Hot loops should hold a
-    :class:`LognormalSampler` (or :func:`lognormal_sampler`) instead of
-    paying the parameter derivation per draw; the draws are identical.
+    Workload models use a small fixed set of parameterisations; the
+    bound protects against callers with unbounded parameter sets.
     """
-    return lognormal_sampler(mean, cv).sample(rng)
+    return LognormalSampler(mean, cv)
+
+
+@lru_cache(maxsize=64)
+def _zipf_cdf(n: int, s: float) -> array:
+    """The Zipf(s) CDF over ranks ``1..n``, built once per process.
+
+    Building the 200k-rank TaoBench table costs ~40ms, and every run of
+    the same benchmark needs the identical table.  It is pure in
+    ``(n, s)`` and never mutated, so samplers share it safely.  The
+    weights and the table are packed ``array('d')`` (8 bytes a rank,
+    against a pointer plus a 24-byte float object in a list): the memo
+    lives as long as the process, and every forked pool worker inherits
+    it.
+    """
+    weights = array("d")
+    for lo in range(1, n + 1, _CDF_CHUNK):
+        weights.fromlist([
+            1.0 / (rank ** s) for rank in range(lo, min(lo + _CDF_CHUNK, n + 1))
+        ])
+    total = sum(weights)
+    # The running sum ``acc += w / total``, one chunk at a time:
+    # ``accumulate`` seeded with the previous chunk's last sum makes the
+    # same sequential float additions, bit for bit.
+    cdf = array("d")
+    acc = 0.0
+    for lo in range(0, n, _CDF_CHUNK):
+        chunk = list(accumulate(
+            map(truediv, weights[lo:lo + _CDF_CHUNK], repeat(total)),
+            initial=acc,
+        ))
+        acc = chunk[-1]
+        del chunk[0]  # the seed is no rank's value
+        cdf.fromlist(chunk)
+    cdf[-1] = 1.0
+    return cdf
 
 
 class ZipfSampler:
     """Zipf(s) sampler over ranks ``1..n`` using inverse-CDF lookup.
 
     Key popularity in TAO-like caches follows a Zipf law; this sampler
-    precomputes the CDF once (O(n)) and samples in O(log n).
+    looks up the CDF (:func:`_zipf_cdf`, O(n) once per process) and
+    samples in O(log n).
     """
-
-    #: Memoized CDFs keyed by (n, s): building the 200k-rank TaoBench
-    #: CDF costs ~40ms per run, and every run of the same benchmark
-    #: rebuilds the identical table.  The CDF is pure in (n, s) and
-    #: never mutated, so instances share it safely.  Each table is a
-    #: packed ``array('d')`` (8 bytes a rank, against a pointer plus a
-    #: 24-byte float object in a list): the memo lives as long as the
-    #: process, and every forked pool worker inherits it.
-    _CDF_MEMO: Dict[Tuple[int, float], array] = {}
-    _CDF_MEMO_MAX = 64
 
     def __init__(self, n: int, s: float = 0.99) -> None:
         if n < 1:
@@ -164,28 +155,7 @@ class ZipfSampler:
             raise ValueError("s must be >= 0")
         self.n = n
         self.s = s
-        cdf = self._CDF_MEMO.get((n, s))
-        if cdf is None:
-            weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
-            total = sum(weights)
-            # The running sum ``acc += w / total``, one chunk at a time:
-            # ``accumulate`` seeded with the previous chunk's last sum
-            # makes the same sequential float additions, bit for bit.
-            cdf = array("d")
-            acc = 0.0
-            for lo in range(0, n, _CDF_CHUNK):
-                chunk = list(accumulate(
-                    map(truediv, weights[lo:lo + _CDF_CHUNK], repeat(total)),
-                    initial=acc,
-                ))
-                acc = chunk[-1]
-                del chunk[0]  # the seed is no rank's value
-                cdf.fromlist(chunk)
-            cdf[-1] = 1.0
-            if len(self._CDF_MEMO) >= self._CDF_MEMO_MAX:
-                self._CDF_MEMO.clear()
-            self._CDF_MEMO[(n, s)] = cdf
-        self._cdf = cdf
+        self._cdf = _zipf_cdf(n, s)
 
     def sample(self, rng: random.Random) -> int:
         """Return a rank in ``1..n`` (1 is most popular).
@@ -203,42 +173,6 @@ class ZipfSampler:
         if top_k >= self.n:
             return 1.0
         return self._cdf[top_k - 1]
-
-
-class EmpiricalDistribution:
-    """Sample from explicit (value, weight) pairs.
-
-    DCPerf replicates production request/response size distributions;
-    this class holds such replicated histograms.
-    """
-
-    def __init__(self, values: Sequence[float], weights: Sequence[float]) -> None:
-        if len(values) != len(weights) or not values:
-            raise ValueError("values and weights must be equal-length, non-empty")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        self.values = list(values)
-        cdf: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cdf.append(acc)
-        cdf[-1] = 1.0
-        self._cdf = cdf
-
-    def sample(self, rng: random.Random) -> float:
-        return self.values[bisect_left(self._cdf, rng.random())]
-
-    def mean(self) -> float:
-        prev = 0.0
-        out = 0.0
-        for value, cum in zip(self.values, self._cdf):
-            out += value * (cum - prev)
-            prev = cum
-        return out
 
 
 class WeightedChoice:

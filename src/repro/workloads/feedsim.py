@@ -17,6 +17,7 @@ extraction cost varies by candidate), and the request must join on the
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Generator, Optional
 
 from repro.loadgen.generators import Handler, Request
@@ -25,7 +26,11 @@ from repro.sim.events import all_of
 from repro.sim.rng import lognormal_sampler
 from repro.uarch.characteristics import WorkloadCharacteristics
 from repro.workloads.base import RunConfig, Workload, WorkloadResult
-from repro.workloads.profiles import BENCHMARK_PROFILES
+from repro.workloads.profiles import (
+    BENCHMARK_PROFILES,
+    PRODUCTION_PROFILES,
+    get_profile,
+)
 from repro.workloads.runner import BenchmarkHarness, ThreadPool
 
 #: The paper's SLO: p95 latency under 500 ms.
@@ -56,22 +61,6 @@ LEAF_IO_CONGESTION = 3.0
 #: per run, so the per-draw parameter derivation added up).
 _LEAF_IO_SAMPLER = lognormal_sampler(LEAF_IO_MEAN_S, LEAF_IO_CV)
 _LEAF_COST_SAMPLER = lognormal_sampler(1.0, LEAF_COST_CV)
-
-#: Memoized SLO-search operating points — the TaoBench warm-fill memo
-#: pattern applied to FeedSim's setup phase.  The search is FeedSim's
-#: deterministic "tree build": ~10 probe runs, each on a fresh harness
-#: whose RNG streams derive solely from ``config.seed``, so the
-#: converged operating point is a pure function of (profile, config).
-#: TaoBench keys its memo on the RNG entry state because its fill
-#: advances a live stream; here every probe *re-derives* its streams
-#: from the config, so the config itself pins the RNG entry state and
-#: the final measurement run (again a fresh harness) is byte-identical
-#: whether the search ran or replayed.  Keyed only for the
-#: module-persistent profiles, whose identity is stable for the life
-#: of the process; bounded like the TaoBench memo.
-_SEARCH_MEMO: dict = {}
-_SEARCH_MEMO_MAX = 4
-
 
 class FeedSim(Workload):
     """Newsfeed ranking under a tail-latency SLO."""
@@ -157,34 +146,25 @@ class FeedSim(Workload):
             tolerance=0.04,
         )
 
-    def _memo_key(self, config: RunConfig):
-        """Memo key, or None when the profile is not module-persistent.
+    def _operating_point(self, config: RunConfig):
+        """(operating_rps, slo_met, probes_run, p95) of the SLO search.
 
-        A caller-supplied characteristics object may be mutated or
-        garbage-collected between runs, so only the registry profiles
-        (whose identity is stable) are safe to key by name; ``config``
-        is a frozen, hashable dataclass and pins everything else the
-        search depends on (seed, SKU, kernel, window, load scale).
+        Only the registry profiles, whose identity is stable for the
+        life of the process, share the memoized search; a caller-built
+        profile may be mutated or freed between runs, so it searches
+        every time.
         """
-        from repro.workloads.profiles import PRODUCTION_PROFILES
-
         chars = self._chars
         if chars is BENCHMARK_PROFILES.get("feedsim") or chars is (
             PRODUCTION_PROFILES.get("ranking-prod")
         ):
-            return (chars.name, config)
-        return None
+            return _registry_operating_point(chars.name, config)
+        return self._search_point(config)
 
-    def _operating_point(self, config: RunConfig):
-        """(operating_rps, slo_met, probes_run, p95) — search or replay."""
-        key = self._memo_key(config)
-        if key is not None:
-            memo = _SEARCH_MEMO.get(key)
-            if memo is not None:
-                return memo
+    def _search_point(self, config: RunConfig):
         try:
             search = self.search(config)
-            point = (
+            return (
                 search.max_rps,
                 True,
                 float(search.probes_run),
@@ -196,12 +176,7 @@ class FeedSim(Workload):
             # The benchmark still reports a (floor) throughput — the
             # machine serves traffic, it just always violates the SLO.
             harness = BenchmarkHarness(config, self._chars)
-            point = (harness.server.capacity_rps() * 0.05, False, None, None)
-        if key is not None:
-            if len(_SEARCH_MEMO) >= _SEARCH_MEMO_MAX:
-                _SEARCH_MEMO.clear()
-            _SEARCH_MEMO[key] = point
-        return point
+            return (harness.server.capacity_rps() * 0.05, False, None, None)
 
     def run(self, config: RunConfig) -> WorkloadResult:
         operating_rps, slo_met, probes_run, search_p95 = self._operating_point(
@@ -219,3 +194,19 @@ class FeedSim(Workload):
         if result.throughput_rps <= 0:
             result.throughput_rps = operating_rps * 0.5
         return result
+
+
+@lru_cache(maxsize=4)
+def _registry_operating_point(profile: str, config: RunConfig):
+    """The SLO-search operating point of a registry profile, memoized.
+
+    The search is FeedSim's deterministic "tree build": ~10 probe runs,
+    each on a fresh harness whose RNG streams derive solely from
+    ``config.seed``, so the converged operating point is a pure
+    function of (profile, config), and ``config`` is a frozen, hashable
+    dataclass that pins everything else the search depends on (seed,
+    SKU, kernel, window, load scale).  The final measurement run, again
+    a fresh harness, is byte-identical whether the search ran or was
+    shared.
+    """
+    return FeedSim(get_profile(profile))._search_point(config)

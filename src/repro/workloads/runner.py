@@ -173,8 +173,8 @@ class _WorkerDock:
     machinery appends its resume callback here, and :meth:`append`
     either hands it a backlogged item immediately or files it as idle.
     ``submit`` wakes idle workers the same way.  Every handoff is one
-    recycled resume entry through the engine's freelist — no ``Store``
-    events, no allocations at steady state.
+    recycled resume entry through the engine's freelist — no put/get
+    event pair, no allocations at steady state.
     """
 
     __slots__ = ("pool", "idle")

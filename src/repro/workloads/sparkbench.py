@@ -21,6 +21,7 @@ The model runs both layers of that description:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Generator, Optional
 
 from repro.data.generator import DatasetGenerator
@@ -54,13 +55,6 @@ STORAGE_NET_FRACTION = 0.80
 #: Partitions (tasks) per logical core, Spark's default sizing.
 TASKS_PER_CORE = 2
 
-#: Per-process memo of the correctness layer: validation is a pure
-#: function of the seed (datasets are regenerated from it), and
-#: persistent warm-pool workers replay the same seeds sweep after
-#: sweep.  Results are treated as read-only by every consumer.
-_QUERY_MEMO: dict = {}
-_STORAGE_MEMO: dict = {}
-_MEMO_MAX = 64
 #: The result-table write runs on a fixed reducer count (output
 #: partitioning is dataset-defined, not machine-defined), which caps
 #: how much of stage 3 benefits from extra cores.
@@ -84,35 +78,12 @@ class SparkBench(Workload):
 
     def validate_query(self, seed: int = 2025):
         """Run the real query on a generated dataset (correctness layer)."""
-        result = _QUERY_MEMO.get(seed)
-        if result is None:
-            fact = DatasetGenerator(
-                warehouse_fact_schema(), seed=seed
-            ).generate(VALIDATION_FACT_ROWS)
-            dim = DatasetGenerator(
-                warehouse_dim_schema(), seed=seed + 1
-            ).generate(VALIDATION_DIM_ROWS)
-            result = run_warehouse_query(fact, dim)
-            if len(_QUERY_MEMO) >= _MEMO_MAX:
-                _QUERY_MEMO.clear()
-            _QUERY_MEMO[seed] = result
-        return result
+        return _query_result(seed)
 
     def validate_storage(self, seed: int = 2025) -> float:
         """Column-encode + compress the validation table (real bytes);
         returns the measured table compression ratio."""
-        from repro.data.columnar import store_table, table_compression_ratio
-
-        ratio = _STORAGE_MEMO.get(seed)
-        if ratio is None:
-            fact = DatasetGenerator(
-                warehouse_fact_schema(), seed=seed
-            ).generate(VALIDATION_FACT_ROWS)
-            ratio = table_compression_ratio(store_table(fact))
-            if len(_STORAGE_MEMO) >= _MEMO_MAX:
-                _STORAGE_MEMO.clear()
-            _STORAGE_MEMO[seed] = ratio
-        return ratio
+        return _storage_ratio(seed)
 
     def run(self, config: RunConfig) -> WorkloadResult:
         harness = BenchmarkHarness(config, self._chars)
@@ -240,3 +211,32 @@ class SparkBench(Workload):
                 "validation_compression_ratio": self.validate_storage(config.seed),
             },
         )
+
+
+@lru_cache(maxsize=64)
+def _query_result(seed: int):
+    """The warehouse query over the seed's validation tables.
+
+    The correctness layer is memoized per process: validation is a pure
+    function of the seed (datasets are regenerated from it), and
+    persistent warm-pool workers replay the same seeds sweep after
+    sweep.  Results are treated as read-only by every consumer.
+    """
+    fact = DatasetGenerator(warehouse_fact_schema(), seed=seed).generate(
+        VALIDATION_FACT_ROWS
+    )
+    dim = DatasetGenerator(warehouse_dim_schema(), seed=seed + 1).generate(
+        VALIDATION_DIM_ROWS
+    )
+    return run_warehouse_query(fact, dim)
+
+
+@lru_cache(maxsize=64)
+def _storage_ratio(seed: int) -> float:
+    """The seed's fact-table compression ratio, memoized likewise."""
+    from repro.data.columnar import store_table, table_compression_ratio
+
+    fact = DatasetGenerator(warehouse_fact_schema(), seed=seed).generate(
+        VALIDATION_FACT_ROWS
+    )
+    return table_compression_ratio(store_table(fact))

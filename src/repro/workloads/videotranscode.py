@@ -14,6 +14,7 @@ quality levels reproduce the VideoBench1-3 power points of Figure 10
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Generator, Optional
 
 from repro.uarch.characteristics import WorkloadCharacteristics
@@ -42,13 +43,6 @@ QUALITY_PRESETS: Dict[int, QualityPreset] = {
 RESIZE_LADDER = (1080, 720, 480, 360)
 #: Resize cost relative to encode, per rendition.
 RESIZE_INSTR_FRACTION = 0.06
-
-#: Per-process memo of the correctness layer: the toy transcode is a
-#: pure function of ``(quality, seed)``, and persistent warm-pool
-#: workers replay the same seeds sweep after sweep.  Results are
-#: treated as read-only by every consumer.
-_PIPELINE_MEMO: dict = {}
-_MEMO_MAX = 64
 
 
 class VideoTranscodeBench(Workload):
@@ -88,18 +82,7 @@ class VideoTranscodeBench(Workload):
         Executes the toy block codec over a synthetic clip at this
         benchmark's quality preset; returns measured bytes and PSNR.
         """
-        from repro.media.frames import synthetic_sequence
-        from repro.media.pipeline import transcode_ladder
-
-        memo_key = (self.quality, seed)
-        result = _PIPELINE_MEMO.get(memo_key)
-        if result is None:
-            sequence = synthetic_sequence(num_frames=4, seed=seed)
-            result = transcode_ladder(sequence, quality=self.quality)
-            if len(_PIPELINE_MEMO) >= _MEMO_MAX:
-                _PIPELINE_MEMO.clear()
-            _PIPELINE_MEMO[memo_key] = result
-        return result
+        return _transcode(self.quality, seed)
 
     def run(self, config: RunConfig) -> WorkloadResult:
         harness = BenchmarkHarness(config, self._chars)
@@ -160,3 +143,18 @@ class VideoTranscodeBench(Workload):
                 "validation_bytes": float(validation.total_compressed_bytes),
             },
         )
+
+
+@lru_cache(maxsize=64)
+def _transcode(quality: int, seed: int):
+    """The correctness layer, memoized per process.
+
+    The toy transcode is a pure function of ``(quality, seed)``, and
+    persistent warm-pool workers replay the same seeds sweep after
+    sweep.  Results are treated as read-only by every consumer.
+    """
+    from repro.media.frames import synthetic_sequence
+    from repro.media.pipeline import transcode_ladder
+
+    sequence = synthetic_sequence(num_frames=4, seed=seed)
+    return transcode_ladder(sequence, quality=quality)

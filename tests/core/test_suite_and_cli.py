@@ -204,19 +204,19 @@ class TestCli:
     def test_run_catalog_rejects_non_llm_benchmark(self, capsys):
         assert main(["run", "-b", "taobench", "--catalog", "chat"]) == 2
 
-    def test_cache_info_reports_schema_counts(self, tmp_path, capsys):
+    def test_cache_info_reports_stale_counts(self, tmp_path, capsys):
         from repro.exec.cache import RunCache
-        from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
+        from repro.exec.spec import RunPoint, run_fingerprint
 
+        point = RunPoint(benchmark="taobench")
         cache = RunCache(str(tmp_path))
-        cache.put("a" * 8, RunPoint(benchmark="taobench"), {"x": 1})
-        (tmp_path / ("b" * 8 + ".json")).write_text(
-            json.dumps({"fingerprint": "b" * 8, "schema": 4, "report": {}})
-        )
+        cache.put(run_fingerprint(point), point, {"x": 1})
+        # Orphaned: not the fingerprint the running code gives the point.
+        cache.put("b" * 8, point, {"x": 1})
         assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert f"schema {CACHE_SCHEMA_VERSION}: 1 (current)" in out
-        assert "schema 4: 1" in out
+        assert "current: 1" in out
+        assert "stale:   1" in out
 
         assert (
             main(["cache", "clear", "--stale", "--cache-dir", str(tmp_path)])

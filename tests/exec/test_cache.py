@@ -13,7 +13,8 @@ from repro.exec.cache import (
     cache_from_env,
     default_cache_dir,
 )
-from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
+from repro.exec import spec
+from repro.exec.spec import RunPoint, run_fingerprint
 
 POINT = RunPoint(benchmark="taobench")
 PAYLOAD = {"benchmark": "taobench", "metric": 123.456}
@@ -73,46 +74,64 @@ class TestRunCache:
         (tmp_path / ".tmp-leftover.json").write_text("{}")
         assert cache.info().entries == 0
 
-    def test_entries_record_schema_version(self, tmp_path):
+    def test_entry_under_its_run_fingerprint_is_current(self, tmp_path):
         cache = RunCache(str(tmp_path))
-        path = cache.put("abc123", POINT, PAYLOAD)
-        entry = json.loads(open(path).read())
-        assert entry["schema"] == CACHE_SCHEMA_VERSION
+        path = cache.put(run_fingerprint(POINT), POINT, PAYLOAD)
+        assert "schema" not in json.loads(open(path).read())
+        assert not RunCache.is_stale(path)
+        info = cache.info()
+        assert (info.entries, info.current, info.stale) == (1, 1, 0)
 
-    def test_info_groups_by_schema(self, tmp_path):
+    def test_info_counts_current_and_stale(self, tmp_path):
         cache = RunCache(str(tmp_path))
-        cache.put("a" * 8, POINT, PAYLOAD)
-        # A pre-schema-tagging entry and one from an older version.
+        cache.put(run_fingerprint(POINT), POINT, PAYLOAD)
+        # An entry from before points were recorded, an orphaned one
+        # (its fingerprint is not the one the running code gives its
+        # point), an unparseable point, and a corrupt file.
         (tmp_path / ("b" * 8 + ".json")).write_text(
             json.dumps({"fingerprint": "b" * 8, "report": PAYLOAD})
         )
-        (tmp_path / ("c" * 8 + ".json")).write_text(
-            json.dumps({"fingerprint": "c" * 8, "schema": 4, "report": PAYLOAD})
-        )
-        (tmp_path / ("d" * 8 + ".json")).write_text("{not json")
+        cache.put("c" * 8, POINT, PAYLOAD)
+        (tmp_path / ("d" * 8 + ".json")).write_text(json.dumps({
+            "fingerprint": "d" * 8,
+            "point": {"benchmark": "taobench", "retired_field": 1},
+            "report": PAYLOAD,
+        }))
+        (tmp_path / ("e" * 8 + ".json")).write_text("{not json")
         info = cache.info()
-        assert info.entries == 4
-        assert info.by_schema == {
-            str(CACHE_SCHEMA_VERSION): 1,
-            "unversioned": 1,
-            "4": 1,
-            "corrupt": 1,
-        }
-        assert info.as_dict()["by_schema"] == info.by_schema
+        assert (info.entries, info.current, info.stale) == (5, 1, 4)
 
     def test_clear_stale_keeps_current_entries(self, tmp_path):
         cache = RunCache(str(tmp_path))
-        cache.put("a" * 8, POINT, PAYLOAD)
-        (tmp_path / ("b" * 8 + ".json")).write_text(
-            json.dumps({"fingerprint": "b" * 8, "schema": 4, "report": PAYLOAD})
-        )
+        current = run_fingerprint(POINT)
+        cache.put(current, POINT, PAYLOAD)
+        cache.put("b" * 8, POINT, PAYLOAD)
         (tmp_path / ("c" * 8 + ".json")).write_text("{not json")
         assert cache.clear(stale_only=True) == 2
         info = cache.info()
-        assert info.entries == 1
-        assert info.by_schema == {str(CACHE_SCHEMA_VERSION): 1}
+        assert (info.entries, info.stale) == (1, 0)
         # The surviving entry still loads.
-        assert cache.get("a" * 8) == PAYLOAD
+        assert cache.get(current) == PAYLOAD
+
+    def test_entry_written_under_other_code_is_stale(
+        self, tmp_path, monkeypatch
+    ):
+        """Any source edit changes every run fingerprint, so an entry
+        written by other code can never be served again."""
+        cache = RunCache(str(tmp_path))
+        current = run_fingerprint(POINT)
+        cache.put(current, POINT, PAYLOAD)
+        other = RunPoint(benchmark="feedsim")
+        monkeypatch.setattr(spec, "code_fingerprint", lambda: "0" * 16)
+        orphan = run_fingerprint(other)
+        cache.put(orphan, other, PAYLOAD)
+        monkeypatch.undo()
+        assert run_fingerprint(other) != orphan
+        info = cache.info()
+        assert (info.entries, info.current, info.stale) == (2, 1, 1)
+        assert cache.clear(stale_only=True) == 1
+        assert not (tmp_path / f"{orphan}.json").exists()
+        assert cache.get(current) == PAYLOAD
 
     def test_interrupted_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
         """An interrupt mid-write removes the temp file and leaves no
@@ -132,25 +151,24 @@ class TestRunCache:
 
     def test_leftover_cost_ledger_is_a_stale_entry(self, tmp_path):
         """Older versions kept a ``cost_ledger.json`` sidecar next to
-        the entries.  It lists as one unversioned entry, is never
-        served, and a stale-only clear removes it."""
+        the entries.  It lists as one stale entry, is never served, and
+        a stale-only clear removes it."""
         cache = RunCache(str(tmp_path))
-        cache.put("a" * 8, POINT, PAYLOAD)
+        current = run_fingerprint(POINT)
+        cache.put(current, POINT, PAYLOAD)
         sidecar = tmp_path / "cost_ledger.json"
         sidecar.write_text(json.dumps({
             "version": 1,
             "by_fingerprint": {"a" * 8: {"seconds": 1.5, "count": 1}},
             "by_class": {},
         }))
-        assert cache.info().by_schema == {
-            str(CACHE_SCHEMA_VERSION): 1,
-            "unversioned": 1,
-        }
+        info = cache.info()
+        assert (info.entries, info.current, info.stale) == (2, 1, 1)
         assert cache.get("cost_ledger") is None
-        assert cache.get("a" * 8) == PAYLOAD
+        assert cache.get(current) == PAYLOAD
         assert cache.clear(stale_only=True) == 1
         assert not sidecar.exists()
-        assert cache.info().by_schema == {str(CACHE_SCHEMA_VERSION): 1}
+        assert cache.info().stale == 0
 
 
 class TestEnvironment:

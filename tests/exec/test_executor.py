@@ -15,7 +15,7 @@ from repro.exec.executor import (
     auto_workers,
     execute_point,
 )
-from repro.exec.spec import CACHE_SCHEMA_VERSION, RunPoint
+from repro.exec.spec import RunPoint
 from repro.exec.workerpool import shutdown_warm_pool
 
 FAST = dict(measure_seconds=0.5, warmup_seconds=0.2)
@@ -356,4 +356,5 @@ class TestProgressEta:
         # The directory holds the 4 cache entries (2 points, 2 shards)
         # and no cost ledger sidecar.
         assert not os.path.exists(str(tmp_path / "cost_ledger.json"))
-        assert cache.info().by_schema == {str(CACHE_SCHEMA_VERSION): 4}
+        info = cache.info()
+        assert (info.entries, info.stale) == (4, 0)

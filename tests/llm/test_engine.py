@@ -214,14 +214,6 @@ class TestEngineStats:
         stats.reset()
         assert stats == EngineStats()
 
-    def test_merge_sums_and_maxes(self):
-        a = EngineStats(steps=5, max_queue_depth=2, decoded_tokens=10)
-        b = EngineStats(steps=3, max_queue_depth=7, decoded_tokens=4)
-        a.merge_from(b)
-        assert a.steps == 8
-        assert a.max_queue_depth == 7
-        assert a.decoded_tokens == 14
-
 
 class TestTokenCallbacks:
     def test_ttft_and_itl_observed(self):

@@ -1,90 +1,10 @@
-"""Tests for stores, priority stores, and counted resources."""
+"""Tests for the counted resource."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import Environment
-from repro.sim.resources import PriorityStore, Resource, Store, UtilizationMeter
-
-
-class TestStore:
-    def test_put_then_get_fifo(self, env):
-        store = Store(env)
-        received = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        env.process(consumer())
-        for item in ("a", "b", "c"):
-            store.put(item)
-        env.run()
-        assert received == ["a", "b", "c"]
-
-    def test_get_blocks_until_put(self, env):
-        store = Store(env)
-        received = []
-
-        def consumer():
-            item = yield store.get()
-            received.append((env.now, item))
-
-        def producer():
-            yield env.timeout(5.0)
-            yield store.put("x")
-
-        env.process(consumer())
-        env.process(producer())
-        env.run()
-        assert received == [(5.0, "x")]
-
-    def test_bounded_capacity_blocks_put(self, env):
-        store = Store(env, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put(1)
-            yield store.put(2)  # blocks until the first is consumed
-            done.append(env.now)
-
-        def consumer():
-            yield env.timeout(3.0)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert done == [3.0]
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-    def test_len(self, env):
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        env.run()
-        assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_lowest_first(self, env):
-        store = PriorityStore(env)
-        received = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        for priority in (5, 1, 3):
-            store.put((priority, f"job{priority}"))
-        env.process(consumer())
-        env.run()
-        assert [p for p, _ in received] == [1, 3, 5]
+from repro.sim.resources import Resource
 
 
 class TestResource:
@@ -186,28 +106,3 @@ class TestResource:
         assert peak[0] <= capacity
         assert resource.count == 0
         assert resource.queue_length == 0
-
-
-class TestUtilizationMeter:
-    def test_fully_busy(self, env):
-        resource = Resource(env, capacity=1)
-        meter = UtilizationMeter(env, resource)
-
-        def worker():
-            req = resource.request()
-            yield req
-            meter.mark()
-            yield env.timeout(10.0)
-            resource.release(req)
-            meter.mark()
-
-        env.process(worker())
-        env.run()
-        assert meter.utilization() == pytest.approx(1.0)
-
-    def test_idle(self, env):
-        resource = Resource(env, capacity=2)
-        meter = UtilizationMeter(env, resource)
-        env.timeout(10.0)
-        env.run()
-        assert meter.utilization() == 0.0

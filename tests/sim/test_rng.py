@@ -7,12 +7,12 @@ from bisect import bisect_left
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import rng as rng_module
 from repro.sim.rng import (
-    EmpiricalDistribution,
     RngStreams,
     ZipfSampler,
-    exponential,
-    lognormal_from_mean_cv,
+    exponential_batch,
+    lognormal_sampler,
 )
 
 
@@ -44,26 +44,26 @@ class TestRngStreams:
 class TestDistributions:
     def test_exponential_mean(self):
         rng = RngStreams(3).stream("exp")
-        samples = [exponential(rng, 2.0) for _ in range(20000)]
+        samples = exponential_batch(rng, 1.0 / 2.0, 20000)
         assert sum(samples) / len(samples) == pytest.approx(2.0, rel=0.05)
 
     def test_exponential_invalid_mean(self):
         rng = RngStreams(3).stream("exp")
         with pytest.raises(ValueError):
-            exponential(rng, 0.0)
+            exponential_batch(rng, 0.0, 1)
 
     def test_lognormal_mean_and_positivity(self):
         rng = RngStreams(3).stream("ln")
-        samples = [lognormal_from_mean_cv(rng, 150.0, 1.2) for _ in range(20000)]
+        sampler = lognormal_sampler(150.0, 1.2)
+        samples = [sampler.sample(rng) for _ in range(20000)]
         assert all(s > 0 for s in samples)
         assert sum(samples) / len(samples) == pytest.approx(150.0, rel=0.1)
 
     def test_lognormal_invalid_params(self):
-        rng = RngStreams(3).stream("ln")
         with pytest.raises(ValueError):
-            lognormal_from_mean_cv(rng, -1.0, 1.0)
+            lognormal_sampler(-1.0, 1.0)
         with pytest.raises(ValueError):
-            lognormal_from_mean_cv(rng, 1.0, 0.0)
+            lognormal_sampler(1.0, 0.0)
 
 
 class TestZipfSampler:
@@ -107,33 +107,8 @@ class TestZipfSampler:
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
 
-class TestEmpiricalDistribution:
-    def test_sampling_respects_weights(self):
-        dist = EmpiricalDistribution([10.0, 20.0], [0.9, 0.1])
-        rng = RngStreams(9).stream("emp")
-        samples = [dist.sample(rng) for _ in range(5000)]
-        share_10 = samples.count(10.0) / len(samples)
-        assert share_10 == pytest.approx(0.9, abs=0.03)
-
-    def test_mean(self):
-        dist = EmpiricalDistribution([10.0, 20.0], [0.5, 0.5])
-        assert dist.mean() == pytest.approx(15.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([], [])
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([1.0], [-1.0])
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([1.0, 2.0], [0.0, 0.0])
-
-
 class TestExponentialBatch:
     def test_matches_sequential_draw_order(self):
-        from repro.sim.rng import exponential_batch
-
         a = RngStreams(21).stream("arrivals")
         b = RngStreams(21).stream("arrivals")
         batched = exponential_batch(a, 120.0, 64)
@@ -144,8 +119,6 @@ class TestExponentialBatch:
         assert a.random() == b.random()
 
     def test_validation(self):
-        from repro.sim.rng import exponential_batch
-
         rng = RngStreams(1).stream("x")
         with pytest.raises(ValueError):
             exponential_batch(rng, 0.0, 10)
@@ -155,23 +128,15 @@ class TestExponentialBatch:
 
 class TestLognormalSampler:
     def test_draw_identical_to_function_form(self):
-        from repro.sim.rng import LognormalSampler
-
         a = RngStreams(9).stream("sizes")
         b = RngStreams(9).stream("sizes")
-        sampler = LognormalSampler(150.0, 1.2)
+        sampler = lognormal_sampler(150.0, 1.2)
         via_sampler = [sampler.sample(a) for _ in range(200)]
-        via_function = [lognormal_from_mean_cv(b, 150.0, 1.2) for _ in range(200)]
+        sigma2 = math.log(1.0 + 1.2 * 1.2)
+        mu, sigma = math.log(150.0) - sigma2 / 2.0, math.sqrt(sigma2)
+        via_function = [b.lognormvariate(mu, sigma) for _ in range(200)]
         assert via_sampler == via_function
         assert a.random() == b.random()  # streams stay aligned
-
-    def test_batch_matches_sequential(self):
-        from repro.sim.rng import LognormalSampler
-
-        a = RngStreams(3).stream("x")
-        b = RngStreams(3).stream("x")
-        sampler = LognormalSampler(1.0, 0.5)
-        assert sampler.sample_batch(a, 64) == [sampler.sample(b) for _ in range(64)]
 
     def test_parameters_match_closed_form(self):
         from repro.sim.rng import LognormalSampler
@@ -182,8 +147,6 @@ class TestLognormalSampler:
         assert sampler.mu == pytest.approx(math.log(150.0) - sigma2 / 2.0)
 
     def test_factory_memoizes(self):
-        from repro.sim.rng import lognormal_sampler
-
         assert lognormal_sampler(2.0, 0.7) is lognormal_sampler(2.0, 0.7)
         assert lognormal_sampler(2.0, 0.7) is not lognormal_sampler(2.0, 0.8)
 
@@ -194,8 +157,6 @@ class TestLognormalSampler:
             LognormalSampler(0.0, 1.0)
         with pytest.raises(ValueError):
             LognormalSampler(1.0, -1.0)
-        with pytest.raises(ValueError):
-            LognormalSampler(1.0, 1.0).sample_batch(RngStreams(1).stream("x"), 0)
 
 
 class TestWeightedChoice:
@@ -241,18 +202,6 @@ class TestSamplerFastPaths:
         assert ZipfSampler(1000, 0.99)._cdf is ZipfSampler(1000, 0.99)._cdf
         assert ZipfSampler(1000, 0.99)._cdf is not ZipfSampler(1000, 0.8)._cdf
 
-    def test_empirical_bisect_matches_linear_scan(self):
-        dist = EmpiricalDistribution([1.0, 2.0, 3.0, 4.0], [0.1, 0.4, 0.4, 0.1])
-        a = RngStreams(13).stream("sizes")
-        b = RngStreams(13).stream("sizes")
-        for _ in range(300):
-            value = dist.sample(a)
-            u = b.random()
-            expected = dist.values[
-                next(i for i, c in enumerate(dist._cdf) if c >= u)
-            ]
-            assert value == expected
-
 
 def _list_cdf(n, s):
     """The list-building loop the packed table replaced, kept verbatim."""
@@ -269,7 +218,7 @@ def _list_cdf(n, s):
 
 def _fresh_zipf(n, s):
     """A sampler whose table is built now, not served from the memo."""
-    ZipfSampler._CDF_MEMO.pop((n, s), None)
+    rng_module._zipf_cdf.cache_clear()
     return ZipfSampler(n, s)
 
 
@@ -301,7 +250,7 @@ class TestPackedZipfCdf:
 
     def test_fresh_table_retains_under_2_mib(self):
         # 200k ranks: 1.6 MiB packed, against 6.1 MiB as a list of floats.
-        ZipfSampler._CDF_MEMO.pop((200_000, 0.99), None)
+        rng_module._zipf_cdf.cache_clear()
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -313,3 +262,20 @@ class TestPackedZipfCdf:
             if not tracing:
                 tracemalloc.stop()
         assert retained <= 2 * 2 ** 20
+
+    def test_build_peak_under_24_mib(self):
+        # sparkbench's 1M-rank user_id table: 8 MiB packed.  Building
+        # the weights as one list of floats peaked at 43 MiB.
+        rng_module._zipf_cdf.cache_clear()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            ZipfSampler(1_000_000, 0.8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20

@@ -57,6 +57,19 @@ print(f"traced measure ok: {workload}, {points} points, "
 ' "$workload"
 done
 
+# The examples and tools are the only callers of some public APIs
+# (trace replay, the load-average contention model, sensitivity sweeps,
+# the round-trip check); running them keeps those callers working.
+echo "== examples and tool --help =="
+for script in examples/*.py; do
+    python "$script" > /dev/null
+    echo "ok: $script"
+done
+for script in tools/*.py; do
+    python "$script" --help > /dev/null
+    echo "ok: $script --help"
+done
+
 echo "== parallel smoke sweep (2 points, 2 workers) =="
 python - <<'EOF'
 from repro.exec.executor import SweepExecutor

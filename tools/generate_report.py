@@ -11,7 +11,7 @@ Run:
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 
 from repro.analysis.fidelity import projection_errors
@@ -120,7 +120,12 @@ def section_fig16():
 
 
 def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "REPORT.md"
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "output", nargs="?", default="REPORT.md",
+        help="markdown file to write (default: REPORT.md)",
+    )
+    output = parser.parse_args().output
     start = time.time()
     parts = [
         "# DCPerf reproduction report",
