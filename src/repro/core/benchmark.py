@@ -86,7 +86,7 @@ class Benchmark:
         if config.shards > 1 and config.shard_index < 0:
             raise ValueError(
                 f"shards={config.shards} runs execute through the "
-                "SweepExecutor (or execute_point), which expands the run "
+                "SweepExecutor, which expands the run "
                 "into shard sub-points and merges their reports; "
                 "Benchmark.run only executes single environments"
             )

@@ -28,9 +28,9 @@ from repro.core.report import format_table, write_json_report
 from repro.core.suite import DCPerfSuite
 from repro.exec.cache import RunCache, cache_from_env
 from repro.exec.executor import SweepExecutor
+from repro.exec.spec import RunPoint
 from repro.hw.sku import list_skus
 from repro.llm.catalog import mix_names as llm_mix_names
-from repro.workloads.base import RunConfig
 from repro.workloads.registry import (
     dcperf_benchmarks,
     extension_benchmarks,
@@ -39,7 +39,6 @@ from repro.workloads.registry import (
 )
 from repro.workloads.scenarios import (
     FAULT_SCENARIOS,
-    apply_fault_scenario,
     fault_scenario_names,
     get_fault_scenario,
 )
@@ -114,44 +113,26 @@ def _cmd_workloads(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     if args.catalog:
         if args.benchmark.split("-")[0] != "llmbench":
             print("--catalog only applies to llmbench", file=sys.stderr)
             return 2
         args.benchmark = f"llmbench-{args.catalog}"
-    if args.shards > 1:
-        # Sharded runs execute through the sweep machinery: the point
-        # expands into shard sub-points (run on the warm pool, one
-        # worker per shard) and the shard reports merge into one.
-        from repro.exec.spec import RunPoint
-
-        point = RunPoint(
-            benchmark=args.benchmark,
-            sku=args.sku,
-            kernel=args.kernel,
-            seed=args.seed,
-            measure_seconds=args.measure_seconds,
-            faults=args.faults or "",
-            early_stop=not args.no_early_stop,
-            shards=args.shards,
-        )
-        executor = SweepExecutor(max_workers=args.shards)
-        report = executor.run([point])[0]
-    else:
-        bench = Benchmark.by_name(args.benchmark)
-        config = RunConfig(
-            sku_name=args.sku,
-            kernel_version=args.kernel,
-            seed=args.seed,
-            measure_seconds=args.measure_seconds,
-            early_stop=not args.no_early_stop,
-        )
-        if args.faults:
-            config = apply_fault_scenario(config, args.faults)
-        report = bench.run(config)
+    # One point through the sweep machinery, without the run cache: a
+    # sharded point expands into shard sub-points (run on the warm
+    # pool, one worker per shard) whose reports merge into one.
+    point = RunPoint(
+        benchmark=args.benchmark,
+        sku=args.sku,
+        kernel=args.kernel,
+        seed=args.seed,
+        measure_seconds=args.measure_seconds,
+        faults=args.faults or "",
+        early_stop=not args.no_early_stop,
+        shards=args.shards,
+    )
+    executor = SweepExecutor(max_workers=args.shards, use_cache=False)
+    report = executor.run([point])[0]
     payload = report.as_dict()
     if args.json:
         path = write_json_report(payload, args.json)
@@ -218,20 +199,24 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             print(f"\n== {sku} ==")
         if args.faults:
             rows = []
+            unreached = []
             for name, score in report.scores.items():
                 bench_report = report.reports[name]
-                resilience = bench_report.hook_sections.get("resilience", {})
-                p95 = bench_report.result.latency.get("p95", 0.0)
-                rows.append(
-                    [
-                        name,
-                        f"{bench_report.metric_value:.4g}",
-                        f"{score:.3f}",
+                resilience = bench_report.hook_sections["resilience"]
+                row = [name, f"{bench_report.metric_value:.4g}", f"{score:.3f}"]
+                if resilience["enabled"]:
+                    p95 = bench_report.result.latency.get("p95", 0.0)
+                    row += [
                         f"{p95 * 1000.0:.1f}",
-                        f"{resilience.get('slo_compliance_pct', 100.0):.1f}",
-                        f"{resilience.get('error_rate', 0.0):.3f}",
+                        f"{resilience['slo_compliance_pct']:.1f}",
+                        f"{resilience['error_rate']:.3f}",
                     ]
-                )
+                else:
+                    # The scenario never reached this run (a batch job
+                    # with no request path): no SLO figures to show.
+                    unreached.append(name)
+                    row += ["-", "-", "-"]
+                rows.append(row)
             print(
                 format_table(
                     [
@@ -245,6 +230,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                     rows,
                 )
             )
+            if unreached:
+                print(
+                    f"not reached by {args.faults} (run fault-free): "
+                    + ", ".join(unreached)
+                )
         else:
             rows = [
                 [
@@ -325,6 +315,14 @@ def _cmd_microbench(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for worker and shard counts: an integer >= 1."""
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcperf",
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="simulate N servers, each at 1/N of the offered rate, on "
@@ -391,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--measure-seconds", type=float, default=1.5)
     p_suite.add_argument(
         "--parallel",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="worker processes for the sweep (1 = in-process, more = "

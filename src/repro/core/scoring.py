@@ -11,7 +11,7 @@ for calibration").
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 BASELINE_SKU = "SKU1"
 
@@ -42,44 +42,3 @@ def weighted_geometric_mean(
         acc += weights.get(key, 1.0) * math.log(value)
     return math.exp(acc / total_weight)
 
-
-class ScoreBoard:
-    """Caches baseline metrics and normalizes scores against them.
-
-    Baselines are registered once per (workload, metric); scores are
-    metric / baseline.  The suite runner registers SKU1 results as
-    baselines before scoring other SKUs.
-    """
-
-    def __init__(self, baseline_sku: str = BASELINE_SKU) -> None:
-        self.baseline_sku = baseline_sku
-        self._baselines: Dict[str, float] = {}
-
-    def register_baseline(self, workload: str, metric: float) -> None:
-        if metric <= 0:
-            raise ValueError(f"baseline for {workload!r} must be positive")
-        self._baselines[workload] = metric
-
-    def has_baseline(self, workload: str) -> bool:
-        return workload in self._baselines
-
-    def baseline(self, workload: str) -> float:
-        try:
-            return self._baselines[workload]
-        except KeyError:
-            raise KeyError(
-                f"no baseline registered for {workload!r}; run the suite on "
-                f"{self.baseline_sku} first"
-            ) from None
-
-    def score(self, workload: str, metric: float) -> float:
-        """Normalized score: metric relative to the baseline machine."""
-        if metric <= 0:
-            raise ValueError(f"metric for {workload!r} must be positive")
-        return metric / self.baseline(workload)
-
-    def suite_score(self, scores: Dict[str, float], weights: Optional[Dict[str, float]] = None) -> float:
-        """Overall score: (weighted) geometric mean of benchmark scores."""
-        if weights:
-            return weighted_geometric_mean(scores, weights)
-        return geometric_mean(scores.values())

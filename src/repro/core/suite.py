@@ -8,12 +8,12 @@ power consumption in our fleet").
 
 Execution goes through :class:`repro.exec.executor.SweepExecutor`:
 baseline and target runs are expanded into one deduplicated grid, fan
-out over a process pool when ``max_workers > 1``, and are memoized in
-the persistent run cache — so SKU1 baselines are computed once per
-machine rather than once per script.  Baselines are keyed by the full
-run fingerprint (benchmark, SKU, kernel, seed, measurement window,
-model/code digests), so suites with different ``measure_seconds`` or
-kernels can never cross-contaminate each other's normalization.
+out over the warm worker pool when the executor has more than one
+worker, and are memoized in the persistent run cache.  Every sweep
+runs its own SKU1 points, and each benchmark scores against the SKU1
+report of that same sweep — so suites with different
+``measure_seconds``, kernels or fault scenarios can never
+cross-contaminate each other's normalization.
 """
 
 from __future__ import annotations
@@ -22,10 +22,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.benchmark import BenchmarkReport
-from repro.core.scoring import BASELINE_SKU, ScoreBoard
-from repro.exec.cache import RunCache
+from repro.core.scoring import (
+    BASELINE_SKU,
+    geometric_mean,
+    weighted_geometric_mean,
+)
 from repro.exec.executor import OnPoint, SweepExecutor
-from repro.exec.spec import RunPoint, run_fingerprint
+from repro.exec.spec import RunPoint
 from repro.workloads.registry import dcperf_benchmarks, llm_serving_benchmarks
 
 #: Fleet power weights per workload category (web dominates Meta's
@@ -75,11 +78,8 @@ class DCPerfSuite:
         self,
         benchmark_names: Optional[List[str]] = None,
         variant: str = "",
-        baseline_sku: str = BASELINE_SKU,
         measure_seconds: float = 1.5,
         executor: Optional[SweepExecutor] = None,
-        max_workers: int = 1,
-        cache: Optional[RunCache] = None,
         faults: str = "",
         early_stop: bool = False,
     ) -> None:
@@ -93,7 +93,6 @@ class DCPerfSuite:
             self.benchmark_names = dcperf_benchmarks() + llm_serving_benchmarks()
         #: '' for the DCPerf benchmarks, ':prod' for production twins.
         self.variant = variant
-        self.scoreboard = ScoreBoard(baseline_sku)
         self.measure_seconds = measure_seconds
         #: Named fault scenario applied to every point, baseline
         #: included — scores then compare SKUs under the same faults,
@@ -104,9 +103,7 @@ class DCPerfSuite:
         #: of the run fingerprint, so early-stopped sweeps and
         #: full-window sweeps cache separately and baselines never mix.
         self.early_stop = early_stop
-        self.executor = executor or SweepExecutor(
-            max_workers=max_workers, cache=cache
-        )
+        self.executor = executor or SweepExecutor()
 
     def _point(self, name: str, sku: str, kernel: str, seed: int) -> RunPoint:
         return RunPoint(
@@ -119,16 +116,6 @@ class DCPerfSuite:
             faults=self.faults,
             early_stop=self.early_stop,
         )
-
-    def _baseline_key(self, name: str, kernel: str, seed: int) -> str:
-        """Scoreboard key for a benchmark's baseline: its fingerprint.
-
-        Fingerprint keying means a baseline computed under one
-        (kernel, seed, measure_seconds, model version) is never reused
-        for another — each combination earns its own normalization.
-        """
-        point = self._point(name, self.scoreboard.baseline_sku, kernel, seed)
-        return run_fingerprint(point)
 
     def run_many(
         self,
@@ -146,32 +133,35 @@ class DCPerfSuite:
         (before scoring), so long suite sweeps can report progress —
         with the warm pool, completions arrive while workers are still
         busy with the rest of the grid.
+
+        Each benchmark's score is its metric divided by the metric of
+        the same sweep's SKU1 point; a non-positive baseline or target
+        metric raises :class:`ValueError` naming the benchmark.
         """
         skus = list(skus)
         names = self.benchmark_names
         points: List[RunPoint] = [
-            self._point(name, self.scoreboard.baseline_sku, kernel, seed)
-            for name in names
+            self._point(name, BASELINE_SKU, kernel, seed) for name in names
         ]
         for sku in skus:
             points.extend(self._point(name, sku, kernel, seed) for name in names)
         all_reports = self.executor.run(points, on_point=on_point)
 
         stride = len(names)
-        for name, report in zip(names, all_reports[:stride]):
-            key = self._baseline_key(name, kernel, seed)
-            if not self.scoreboard.has_baseline(key):
-                self.scoreboard.register_baseline(key, report.metric_value)
-
+        baselines = [report.metric_value for report in all_reports[:stride]]
         out: Dict[str, SuiteReport] = {}
         for index, sku in enumerate(skus):
             chunk = all_reports[stride * (index + 1) : stride * (index + 2)]
             reports: Dict[str, BenchmarkReport] = {}
             scores: Dict[str, float] = {}
             perf_per_watt: Dict[str, float] = {}
-            for name, report in zip(names, chunk):
-                key = self._baseline_key(name, kernel, seed)
-                report.score = self.scoreboard.score(key, report.metric_value)
+            for name, baseline, report in zip(names, baselines, chunk):
+                if baseline <= 0 or report.metric_value <= 0:
+                    raise ValueError(
+                        f"{name!r}: {sku} metric {report.metric_value} and "
+                        f"{BASELINE_SKU} baseline {baseline} must be positive"
+                    )
+                report.score = report.metric_value / baseline
                 reports[name] = report
                 scores[name] = report.score
                 perf_per_watt[name] = report.result.perf_per_watt()
@@ -180,7 +170,7 @@ class DCPerfSuite:
                 kernel=kernel,
                 reports=reports,
                 scores=scores,
-                overall_score=self.scoreboard.suite_score(scores),
+                overall_score=geometric_mean(scores.values()),
                 perf_per_watt=perf_per_watt,
             )
         return out
@@ -199,6 +189,4 @@ class DCPerfSuite:
 
     def production_score(self, suite_report: SuiteReport) -> float:
         """Power-weighted aggregate (the Figure 2 'Production' method)."""
-        return self.scoreboard.suite_score(
-            suite_report.scores, weights=FLEET_POWER_WEIGHTS
-        )
+        return weighted_geometric_mean(suite_report.scores, FLEET_POWER_WEIGHTS)

@@ -24,12 +24,7 @@ package makes every sweep in the repo parallel and memoized:
 """
 
 from repro.exec.cache import RunCache, cache_from_env, default_cache_dir
-from repro.exec.executor import (
-    SweepExecutor,
-    SweepStats,
-    auto_workers,
-    execute_point,
-)
+from repro.exec.executor import SweepExecutor, SweepStats
 from repro.exec.serialize import report_from_dict, report_to_dict
 from repro.exec.spec import (
     RunPoint,
@@ -45,11 +40,9 @@ __all__ = [
     "SweepExecutor",
     "SweepStats",
     "WarmPool",
-    "auto_workers",
     "cache_from_env",
     "code_fingerprint",
     "default_cache_dir",
-    "execute_point",
     "get_warm_pool",
     "model_fingerprint",
     "report_from_dict",

@@ -41,9 +41,7 @@ loaded servers, not one server measured faster.
 
 from __future__ import annotations
 
-import math
 import os
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from typing import (
@@ -71,59 +69,6 @@ OnPoint = Callable[[RunPoint, "BenchmarkReport"], None]
 #: variable's value with each task).
 FAULT_DELAY_ENV = "DCPERF_FAULT_POINT_DELAY"
 
-#: cgroup v2 CPU quota file (bind-mounted read-only in containers).
-_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
-def _cgroup_cpu_quota(path: str = _CGROUP_CPU_MAX) -> Optional[int]:
-    """Whole CPUs allowed by the cgroup v2 quota, or ``None``.
-
-    ``cpu.max`` holds ``"<quota> <period>"`` in microseconds, or
-    ``"max ..."`` when unthrottled.  A container throttled to e.g.
-    ``150000 100000`` can progress 1.5 CPUs of work per wall second no
-    matter how many cores it *sees*; rounding up to 2 keeps a little
-    headroom without over-subscribing 16 workers onto 1.5 CPUs.
-    """
-    try:
-        with open(path) as fh:
-            parts = fh.read().split()
-    except OSError:
-        return None
-    if not parts or parts[0] == "max":
-        return None
-    try:
-        quota = int(parts[0])
-        period = int(parts[1]) if len(parts) > 1 else 100_000
-    except ValueError:
-        return None
-    if quota <= 0 or period <= 0:
-        return None
-    return max(1, math.ceil(quota / period))
-
-
-def auto_workers() -> int:
-    """Default worker count: one per *usable* CPU, capped at 16.
-
-    ``os.cpu_count()`` reports the host's cores; in a container pinned
-    to a subset (cpuset) or throttled by a cgroup quota that number
-    over-subscribes the pool — 16 workers timesharing 2 usable CPUs
-    thrash instead of parallelizing.  The effective count is the
-    scheduling affinity mask (where available) further clamped by the
-    cgroup v2 CPU quota.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        # macOS/Windows have no sched_getaffinity; the host count is
-        # the best available answer there.
-        cpus = os.cpu_count() or 1
-    # cgroup v2 is a Linux construct; never probe the pseudo-file
-    # elsewhere (a same-named path on another OS would be noise).
-    quota = _cgroup_cpu_quota() if sys.platform.startswith("linux") else None
-    if quota is not None:
-        cpus = min(cpus, quota)
-    return max(1, min(cpus, 16))
-
 
 def _run_point_payload(point: RunPoint) -> Dict[str, object]:
     """Execute one point and return its lossless report payload."""
@@ -134,22 +79,6 @@ def _run_point_payload(point: RunPoint) -> Dict[str, object]:
         time.sleep(float(delay))
     report = Benchmark.by_name(point.workload_name).run(point.run_config())
     return report_to_dict(report)
-
-
-def execute_point(point: RunPoint) -> BenchmarkReport:
-    """Run one point in-process, normalized through the codec.
-
-    A ``shards=N`` parent point runs its N shard environments serially
-    in-process and merges them — the same expansion and merge the
-    executor uses, so the report is byte-identical to a pooled run of
-    the same point.
-    """
-    if point.shards > 1 and point.shard_index < 0:
-        from repro.exec.shard import expand_shards, merge_shard_payloads
-
-        payloads = [_run_point_payload(sub) for sub in expand_shards(point)]
-        return report_from_dict(merge_shard_payloads(point, payloads))
-    return report_from_dict(_run_point_payload(point))
 
 
 @dataclass
@@ -221,18 +150,18 @@ class SweepExecutor:
 
     def __init__(
         self,
-        max_workers: Optional[int] = None,
+        max_workers: int = 1,
         cache: Optional[RunCache] = None,
         use_cache: bool = True,
         point_timeout_s: Optional[float] = None,
     ) -> None:
-        if max_workers is not None and max_workers < 1:
+        if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if point_timeout_s is not None and point_timeout_s <= 0:
             raise ValueError(
                 f"point_timeout_s must be positive, got {point_timeout_s}"
             )
-        self.max_workers = max_workers or auto_workers()
+        self.max_workers = max_workers
         #: Wall-clock budget per pooled point; a straggler past this has
         #: its worker killed and respawned, and is re-run in-process.
         #: ``None`` = no timeout.

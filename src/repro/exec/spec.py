@@ -48,7 +48,6 @@ class RunPoint:
     measure_seconds: float = 1.5
     warmup_seconds: float = 0.5
     load_scale: float = 1.0
-    batch: int = 1
     #: Named fault scenario ("" = fault-free).  Stored as the name so
     #: points stay hashable/serializable; resolved in :meth:`run_config`.
     faults: str = ""
@@ -98,7 +97,6 @@ class RunPoint:
             warmup_seconds=self.warmup_seconds,
             measure_seconds=self.measure_seconds,
             load_scale=load_scale,
-            batch=self.batch,
             early_stop=self.early_stop,
             shards=self.shards,
             shard_index=self.shard_index,

@@ -18,9 +18,9 @@ Effects fall into three channels:
   down-clocked cores, via the ``repro.hw`` frequency parameters).
 * **Availability channel** — ``server_crash`` marks the scheduler
   offline; new dispatches raise
-  :class:`~repro.faults.errors.ServerUnavailableError` until restart.
-  In-flight bursts complete — a crash-restart drains, it does not
-  corrupt.
+  :class:`~repro.faults.errors.ServerUnavailableError` until restart
+  (:meth:`FaultInjector.restarted` fires then).  In-flight bursts
+  complete — a crash-restart drains, it does not corrupt.
 * **Network channel** — ``net_latency`` and ``net_loss`` publish the
   current extra delay and drop probability; the
   :class:`~repro.faults.resilience.ServiceClient` consults them on
@@ -38,7 +38,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Event
 
 #: Frequency throttling never clocks below this fraction of the
 #: pre-fault effective frequency (hardware has a minimum P-state).
@@ -85,6 +85,7 @@ class FaultInjector:
         self._disk_faults: Dict[int, float] = {}
         self._devices: List[object] = []
         self._crashes = 0
+        self._restarted: Optional[Event] = None
         self._baseline_freq_ghz: Optional[float] = None
         self._started = False
 
@@ -144,6 +145,9 @@ class FaultInjector:
             self._crashes -= 1
             if self._crashes == 0:
                 self.scheduler.offline = False
+                if self._restarted is not None:
+                    self._restarted.succeed()
+                    self._restarted = None
         elif kind == "net_latency":
             self.net_delay_s = max(0.0, self.net_delay_s - fault.magnitude)
         elif kind == "net_loss":
@@ -152,6 +156,12 @@ class FaultInjector:
             self._disk_faults.pop(index, None)
             self._publish_disk_slowdown()
         self.log.append((self.env.now, kind, "revert"))
+
+    def restarted(self) -> Event:
+        """Event that fires when the crashed server comes back online."""
+        if self._restarted is None:
+            self._restarted = Event(self.env)
+        return self._restarted
 
     # -- CPU channel helpers ---------------------------------------------------
     def _set_slowdown(self, index: int, factor: float) -> None:

@@ -463,6 +463,7 @@ class LlmReplica:
     def _loop(self) -> Generator:
         env = self.env
         harness = self.harness
+        scheduler = harness.scheduler
         stats = self.stats
         prefill_instr_per_token = self.params.prefill_instr_per_token
         decode_instructions = self._decode_instructions
@@ -483,9 +484,13 @@ class LlmReplica:
                     stats.cached_prefix_tokens += cached
                     seq.needs_prefill = False
                 if instructions > 0:
+                    if scheduler.offline:
+                        yield from harness.wait_online()
                     yield from harness.burst(instructions)
             if not active:
                 continue
+            if scheduler.offline:
+                yield from harness.wait_online()
             yield from harness.burst(decode_instructions[len(active)])
             stats.steps += 1
             self._decode(env.now)

@@ -21,8 +21,9 @@ class RunConfig:
 
     ``load_scale`` multiplies the workload's default offered load
     (1.0 = the load that saturates the benchmark's target operating
-    point); ``batch`` lets one simulated request represent ``batch``
-    production requests for very-high-RPS workloads.
+    point).  How many production requests one simulated request stands
+    for is the workload's own choice, not the run's (see
+    :class:`~repro.workloads.runner.BenchmarkHarness`).
 
     ``faults`` is the deterministic fault schedule the harness replays
     during the measurement window and ``resilience`` the client-side
@@ -64,7 +65,6 @@ class RunConfig:
     warmup_seconds: float = 0.5
     measure_seconds: float = 2.0
     load_scale: float = 1.0
-    batch: int = 1
     faults: FaultSchedule = EMPTY_SCHEDULE
     resilience: ResiliencePolicy = DISABLED_POLICY
     fault_scenario: str = ""
@@ -78,8 +78,6 @@ class RunConfig:
             raise ValueError("invalid measurement window")
         if self.load_scale <= 0:
             raise ValueError("load_scale must be positive")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if not -1 <= self.shard_index < self.shards:

@@ -80,11 +80,9 @@ class CloudSuiteDataCaching(Workload):
 
     def run(self, config: RunConfig) -> WorkloadResult:
         config = dataclasses.replace(
-            config,
-            warmup_seconds=min(config.warmup_seconds, 0.3),
-            batch=max(config.batch, DATA_CACHING_BATCH),
+            config, warmup_seconds=min(config.warmup_seconds, 0.3)
         )
-        harness = BenchmarkHarness(config, self._chars)
+        harness = BenchmarkHarness(config, self._chars, batch=DATA_CACHING_BATCH)
         env = harness.env
         sched = harness.scheduler
         cores = config.sku.cpu.logical_cores

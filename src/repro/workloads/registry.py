@@ -1,4 +1,4 @@
-"""Workload registry: name -> constructor, with lazy imports.
+"""Workload registry: name -> class, with lazy imports.
 
 Lazy so that importing one workload module does not pull in every
 other (and so the package ``__init__`` stays cycle-free).
@@ -6,117 +6,57 @@ other (and so the package ``__init__`` stays cycle-free).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import importlib
+from typing import Dict, List, Tuple
 
 from repro.workloads.base import Workload
+from repro.workloads.profiles import BENCHMARK_TO_PRODUCTION, PRODUCTION_PROFILES
 
-
-def _taobench() -> Workload:
-    from repro.workloads.taobench import TaoBench
-
-    return TaoBench()
-
-
-def _feedsim() -> Workload:
-    from repro.workloads.feedsim import FeedSim
-
-    return FeedSim()
-
-
-def _djangobench() -> Workload:
-    from repro.workloads.djangobench import DjangoBench
-
-    return DjangoBench()
-
-
-def _mediawiki() -> Workload:
-    from repro.workloads.mediawiki import MediaWiki
-
-    return MediaWiki()
-
-
-def _sparkbench() -> Workload:
-    from repro.workloads.sparkbench import SparkBench
-
-    return SparkBench()
-
-
-def _videotranscode() -> Workload:
-    from repro.workloads.videotranscode import VideoTranscodeBench
-
-    return VideoTranscodeBench()
-
-
-def _storagebench() -> Workload:
-    from repro.workloads.storagebench import StorageBench
-
-    return StorageBench()
-
-
-def _aibench() -> Workload:
-    from repro.workloads.aibench import AiBench
-
-    return AiBench()
-
-
-def _llmbench(mix: str, name: str) -> Callable[[], Workload]:
-    def factory() -> Workload:
-        from repro.workloads.llmbench import LlmBench
-
-        return LlmBench(mix, name=name)
-
-    return factory
-
-
-_FACTORIES: Dict[str, Callable[[], Workload]] = {
-    "taobench": _taobench,
-    "feedsim": _feedsim,
-    "djangobench": _djangobench,
-    "mediawiki": _mediawiki,
-    "sparkbench": _sparkbench,
-    "videotranscode": _videotranscode,
-    "storagebench": _storagebench,
-    "aibench": _aibench,
+#: name -> (module under ``repro.workloads``, class, constructor kwargs).
+_WORKLOADS: Dict[str, Tuple[str, str, Dict[str, str]]] = {
+    "taobench": ("taobench", "TaoBench", {}),
+    "feedsim": ("feedsim", "FeedSim", {}),
+    "djangobench": ("djangobench", "DjangoBench", {}),
+    "mediawiki": ("mediawiki", "MediaWiki", {}),
+    "sparkbench": ("sparkbench", "SparkBench", {}),
+    "videotranscode": ("videotranscode", "VideoTranscodeBench", {}),
+    "storagebench": ("storagebench", "StorageBench", {}),
+    "aibench": ("aibench", "AiBench", {}),
     # The llmbench family: one entry per catalog mix, plus a bare
     # "llmbench" alias for the flagship chat mix.
-    "llmbench": _llmbench("chat", "llmbench"),
-    "llmbench-chat": _llmbench("chat", "llmbench-chat"),
-    "llmbench-codegen": _llmbench("codegen", "llmbench-codegen"),
-    "llmbench-rag_summarize": _llmbench(
-        "rag_summarize", "llmbench-rag_summarize"
-    ),
-    "llmbench-long_reasoning": _llmbench(
-        "long_reasoning", "llmbench-long_reasoning"
-    ),
+    "llmbench": ("llmbench", "LlmBench", {"mix": "chat", "name": "llmbench"}),
+    **{
+        f"llmbench-{mix}": (
+            "llmbench", "LlmBench", {"mix": mix, "name": f"llmbench-{mix}"}
+        )
+        for mix in ("chat", "codegen", "rag_summarize", "long_reasoning")
+    },
 }
 
 
 def get_workload(name: str) -> Workload:
     """Instantiate a DCPerf benchmark or production counterpart.
 
-    Production counterparts use the ``<benchmark>:prod`` naming, e.g.
-    ``taobench:prod`` runs the benchmark's structure with the
-    production workload's calibrated profile.
+    ``<benchmark>:prod`` (e.g. ``taobench:prod``) runs the benchmark's
+    concurrency structure with the production workload's calibrated
+    profile: the pairs Figures 4-12 compare and Figure 2 aggregates.
     """
-    if name.endswith(":prod"):
-        base = name[: -len(":prod")]
-        return _production_variant(base)
+    base = name[: -len(":prod")] if name.endswith(":prod") else name
     try:
-        return _FACTORIES[name]()
+        module, class_name, kwargs = _WORKLOADS[base]
+        if base != name:
+            chars = PRODUCTION_PROFILES[BENCHMARK_TO_PRODUCTION[base]]
+            kwargs = {**kwargs, "chars": chars}
     except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
+        known = ", ".join(workload_names() + production_counterparts())
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-
-
-def _production_variant(base: str) -> Workload:
-    from repro.workloads.production import production_workload
-
-    return production_workload(base)
+    module_path = f"repro.workloads.{module}"
+    return getattr(importlib.import_module(module_path), class_name)(**kwargs)
 
 
 def workload_names() -> List[str]:
     """Every registered workload name, sorted."""
-    return sorted(_FACTORIES)
+    return sorted(_WORKLOADS)
 
 
 def dcperf_benchmarks() -> List[str]:

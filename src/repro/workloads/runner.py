@@ -265,9 +265,15 @@ class BenchmarkHarness:
     #: Utilization sampling period for the timeline (sim seconds).
     SAMPLE_PERIOD_S = 0.1
 
-    def __init__(self, config: RunConfig, chars: WorkloadCharacteristics) -> None:
+    def __init__(
+        self, config: RunConfig, chars: WorkloadCharacteristics, batch: int = 1
+    ) -> None:
         self.config = config
         self.chars = chars
+        #: Production requests one simulated request stands for.  The
+        #: workload picks it (very-high-RPS servers simulate in
+        #: batches); bursts, arrivals and throughput all scale by it.
+        self.batch = batch
         self.sku = config.sku
         self.kernel = config.kernel
         self.env = Environment()
@@ -346,12 +352,19 @@ class BenchmarkHarness:
         again); it multiplies with the batch factor.
         """
         kf = self.chars.kernel_frac if kernel_frac is None else kernel_frac
-        seconds = self.server.service_seconds(instructions) * self.config.batch
+        seconds = self.server.service_seconds(instructions) * self.batch
         return self.scheduler.execute(
             seconds * (1.0 - kf),
             seconds * kf,
-            dispatches=self.config.batch * dispatches_per_request,
+            dispatches=self.batch * dispatches_per_request,
         )
+
+    def wait_online(self) -> Generator:
+        """Hold background work (an LLM engine step, an LSM compaction)
+        until a crashed server restarts: unlike a request, which fails
+        and retries at the client, it then runs as planned."""
+        while self.scheduler.offline:
+            yield self.injector.restarted()
 
     def make_pool(self, name: str, num_threads: int) -> ThreadPool:
         return ThreadPool(self.env, name, num_threads)
@@ -384,7 +397,7 @@ class BenchmarkHarness:
         """
         generator = OpenLoopGenerator(
             env=self.env,
-            rate_rps=offered_rps / self.config.batch,
+            rate_rps=offered_rps / self.batch,
             handler=self._wrap_handler(handler),
             recorder=self.recorder,
             rng=self.rng.stream("arrivals"),
@@ -491,7 +504,7 @@ class BenchmarkHarness:
             stats = self.resilience_stats
             result.extra.update(stats.as_extra())
             result.extra["resilience_goodput_rps"] = (
-                stats.successes * self.config.batch / elapsed
+                stats.successes * self.batch / elapsed
             )
             slo = self.client.policy.slo_latency_s
             result.extra["resilience_slo_latency_s"] = slo
@@ -504,7 +517,7 @@ class BenchmarkHarness:
             )
         if self.control is not None:
             result.extra.update(
-                self.control.as_extra(self.config.batch, elapsed)
+                self.control.as_extra(self.batch, elapsed)
             )
 
     def _sampler(self) -> Generator:
@@ -531,7 +544,7 @@ class BenchmarkHarness:
         kernel_util = stats.kernel_util(self.env.now, cores)
         busy = max(stats.busy_seconds, 1e-12)
         efficiency = max(0.05, 1.0 - stats.overhead_seconds / busy)
-        throughput = completed_requests * self.config.batch / elapsed
+        throughput = completed_requests * self.batch / elapsed
         steady = self.server.steady_state(cpu_util, efficiency)
         return WorkloadResult(
             timeline=list(self.timeline),
@@ -589,7 +602,7 @@ class InstanceSet:
     def serial_seconds(self, instructions: float) -> float:
         """Duration of a serialized slice: latency-bound, IPC-blind."""
         freq_hz = self.harness.server.effective_freq_ghz * 1e9
-        return instructions / freq_hz * self.harness.config.batch
+        return instructions / freq_hz * self.harness.batch
 
     def serial_section(self, instance: int, instructions: float):
         """Run a serialized slice under the instance's lock (generator)."""
@@ -607,7 +620,7 @@ class InstanceSet:
             kf = self.harness.chars.kernel_frac
             yield from self.harness.scheduler.execute(
                 seconds * (1.0 - kf), seconds * kf,
-                dispatches=self.harness.config.batch,
+                dispatches=self.harness.batch,
             )
         finally:
             lock.release(grant)

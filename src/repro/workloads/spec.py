@@ -86,10 +86,10 @@ class SpecSuite:
             for bench in self.benchmarks()
         }
 
-    def score(self, sku_name: str, baseline_sku: str = "SKU1") -> float:
+    def score(self, sku_name: str, baseline: str = "SKU1") -> float:
         """Geomean of per-benchmark ratios vs the baseline SKU."""
         current = self.throughput(sku_name)
-        base = self.throughput(baseline_sku)
+        base = self.throughput(baseline)
         product = 1.0
         for name in current:
             product *= current[name] / base[name]

@@ -25,14 +25,13 @@ What makes this workload different from the CPU-only benchmarks:
   :class:`~repro.loadgen.recorder.LatencyRecorder`.
 
 Batch semantics match TaoBench: one simulated request stands for
-``config.batch`` production requests; device transfers scale by the
+:data:`BATCH` production requests; device transfers scale by the
 batch factor while per-op device latency is charged once (batched ops
 pipeline on the device queue).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Generator, Optional
 
 from repro.cachelib.lru import LruCache
@@ -68,7 +67,7 @@ SCAN_INSTR_FRACTION = 3.0
 #: Compaction merge cost charged to the simulated CPU per input byte
 #: (decode, compare, re-encode — the background CPU tax of an LSM).
 #: Charged per *sim* byte and batch-multiplied by the harness, so the
-#: effective production cost is this times ``config.batch``.
+#: effective production cost is this times :data:`BATCH`.
 COMPACTION_INSTR_PER_BYTE = 0.25
 #: Block cache: small relative to the data set, so the device sees a
 #: steady miss stream (storage nodes are not caches).
@@ -86,8 +85,8 @@ TABLE_TARGET_BYTES = 128 * 1024
 #: level's target size (just under target so compaction is triggered
 #: by the workload's writes, not by the prefill itself).
 PREFILL_LEVEL_FILL = 0.96
-#: Default batching: one simulated request = 200 production requests.
-DEFAULT_BATCH = 200
+#: Batching: one simulated request = 200 production requests.
+BATCH = 200
 #: Offered load relative to unimpeded CPU capacity: storage nodes run
 #: well below saturation because the device, not the CPU, is the
 #: first bottleneck.
@@ -109,9 +108,7 @@ class StorageBench(Workload):
         return self._chars
 
     def run(self, config: RunConfig) -> WorkloadResult:
-        if config.batch == 1:
-            config = dataclasses.replace(config, batch=DEFAULT_BATCH)
-        harness = BenchmarkHarness(config, self._chars)
+        harness = BenchmarkHarness(config, self._chars, batch=BATCH)
         env = harness.env
         cores = config.sku.cpu.logical_cores
 
@@ -139,8 +136,10 @@ class StorageBench(Workload):
         def compaction_cpu(merge_bytes: float) -> Generator:
             # Background compaction steals simulated cores from request
             # processing; the harness multiplies by the batch factor,
-            # matching the device-side ``io_scale``.
-            return harness.burst(merge_bytes * COMPACTION_INSTR_PER_BYTE)
+            # matching the device-side ``io_scale``.  Being no request,
+            # it waits out a crash-restart instead of failing.
+            yield from harness.wait_online()
+            yield from harness.burst(merge_bytes * COMPACTION_INSTR_PER_BYTE)
 
         lsm_config = LsmConfig(
             memtable_bytes=MEMTABLE_BYTES,
@@ -153,7 +152,7 @@ class StorageBench(Workload):
             device,
             block_cache,
             config=lsm_config,
-            io_scale=config.batch,
+            io_scale=BATCH,
             compaction_cpu=compaction_cpu,
             on_stall=on_stall,
         )

@@ -11,7 +11,7 @@ over a real LRU store — hit rates emerge from Zipf key popularity vs
 cache capacity, not from a configured constant — and dispatches to fast
 and slow :class:`~repro.workloads.runner.ThreadPool` instances on a
 simulated server.  Because TAO serves ~1M requests/s per server, one
-simulated request stands for ``config.batch`` production requests; the
+simulated request stands for :data:`BATCH` production requests; the
 scheduler is charged the full production dispatch rate, which is what
 makes the Section 5.3 kernel-contention case study (Figure 16)
 reproducible here.
@@ -19,7 +19,6 @@ reproducible here.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from functools import lru_cache
 from typing import Generator, Optional, Tuple
@@ -54,8 +53,8 @@ DISPATCHES_PER_MISS = 3
 #: objects (write-invalidate, not write-through), creating the misses
 #: the slow path then refills.
 WRITE_FRACTION = 0.01
-#: Default batching: one simulated request = 200 production requests.
-DEFAULT_BATCH = 200
+#: Batching: one simulated request = 200 production requests.
+BATCH = 200
 #: Offered load relative to unimpeded capacity (TAO servers run at
 #: ~80-86% CPU, not saturation — Table 1 / Figure 9).
 OFFERED_FRACTION = 0.92
@@ -123,9 +122,7 @@ class TaoBench(Workload):
         return self._chars
 
     def run(self, config: RunConfig) -> WorkloadResult:
-        if config.batch == 1:
-            config = dataclasses.replace(config, batch=DEFAULT_BATCH)
-        harness = BenchmarkHarness(config, self._chars)
+        harness = BenchmarkHarness(config, self._chars, batch=BATCH)
         env = harness.env
         cores = config.sku.cpu.logical_cores
 

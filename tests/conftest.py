@@ -7,9 +7,18 @@ import tempfile
 
 import pytest
 
+from repro.core.benchmark import BenchmarkReport
+from repro.exec.executor import SweepExecutor
+from repro.exec.spec import RunPoint
 from repro.hw.sku import get_sku
 from repro.sim.engine import Environment
 from repro.workloads.base import RunConfig
+
+
+def run_point(point: RunPoint) -> BenchmarkReport:
+    """One point in-process through the executor (codec round trip and
+    shard merge included), without the run cache."""
+    return SweepExecutor(max_workers=1, use_cache=False).run([point])[0]
 
 
 @pytest.fixture(scope="session", autouse=True)

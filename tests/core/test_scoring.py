@@ -5,11 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.scoring import (
-    ScoreBoard,
-    geometric_mean,
-    weighted_geometric_mean,
-)
+from repro.core.scoring import geometric_mean, weighted_geometric_mean
 
 
 class TestGeometricMean:
@@ -62,33 +58,3 @@ class TestWeightedGeometricMean:
         with pytest.raises(ValueError):
             weighted_geometric_mean({"a": -1.0}, {"a": 1.0})
 
-
-class TestScoreBoard:
-    def test_score_normalizes_against_baseline(self):
-        board = ScoreBoard()
-        board.register_baseline("bench", 100.0)
-        assert board.score("bench", 150.0) == pytest.approx(1.5)
-
-    def test_missing_baseline_raises(self):
-        with pytest.raises(KeyError, match="SKU1"):
-            ScoreBoard().score("bench", 10.0)
-
-    def test_has_baseline(self):
-        board = ScoreBoard()
-        assert not board.has_baseline("x")
-        board.register_baseline("x", 1.0)
-        assert board.has_baseline("x")
-
-    def test_invalid_values(self):
-        board = ScoreBoard()
-        with pytest.raises(ValueError):
-            board.register_baseline("x", 0.0)
-        board.register_baseline("x", 1.0)
-        with pytest.raises(ValueError):
-            board.score("x", -1.0)
-
-    def test_suite_score(self):
-        board = ScoreBoard()
-        assert board.suite_score({"a": 2.0, "b": 8.0}) == pytest.approx(4.0)
-        weighted = board.suite_score({"a": 2.0, "b": 8.0}, weights={"b": 3.0})
-        assert weighted > 4.0

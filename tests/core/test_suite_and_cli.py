@@ -1,6 +1,7 @@
 """Tests for suite orchestration and the CLI."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,6 +68,22 @@ class TestSuite:
         report = suite.run("SKU2")
         assert report.scores["llmbench-chat"] > 0
 
+    @pytest.mark.parametrize("bad_sku", ["SKU1", "SKU2"])
+    def test_non_positive_metric_names_benchmark(self, bad_sku):
+        """A non-positive SKU1 baseline or target metric cannot be
+        scored; the error names the benchmark."""
+
+        class StubExecutor:
+            def run(self, points, on_point=None):
+                return [
+                    SimpleNamespace(metric_value=0.0 if p.sku == bad_sku else 1.0)
+                    for p in points
+                ]
+
+        suite = DCPerfSuite(benchmark_names=["taobench"], executor=StubExecutor())
+        with pytest.raises(ValueError, match="'taobench'"):
+            suite.run("SKU2")
+
     def test_report_serializable(self, small_suite):
         report = small_suite.run("SKU1")
         payload = report.as_dict()
@@ -121,7 +138,15 @@ class TestCli:
         assert len(sharding["shard_seeds"]) == 2
 
     def test_run_rejects_bad_shards(self, capsys):
-        assert main(["run", "-b", "taobench", "--shards", "0"]) == 2
+        # Shard and worker counts below 1 are usage errors (exit 2).
+        for argv in (
+            ["run", "-b", "taobench", "--shards", "0"],
+            ["suite", "--parallel", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag", ["--no-warm-pool", "--schedule=fifo", "--auto-shard"]

@@ -32,7 +32,7 @@ def _golden_cases():
 
 
 def _golden_payload(point):
-    """The payload ``execute_point`` decodes: merged for a sharded run."""
+    """The payload the executor decodes: merged for a sharded run."""
     if point.shards > 1:
         payloads = [_run_point_payload(sub) for sub in expand_shards(point)]
         return merge_shard_payloads(point, payloads)

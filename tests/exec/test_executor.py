@@ -9,14 +9,10 @@ import pytest
 from repro.core.benchmark import Benchmark
 from repro.core.suite import DCPerfSuite
 from repro.exec.cache import RunCache
-from repro.exec.executor import (
-    SweepExecutor,
-    _cgroup_cpu_quota,
-    auto_workers,
-    execute_point,
-)
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 from repro.exec.workerpool import shutdown_warm_pool
+from tests.conftest import run_point
 
 FAST = dict(measure_seconds=0.5, warmup_seconds=0.2)
 
@@ -33,9 +29,6 @@ class TestSweepExecutor:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             SweepExecutor(max_workers=0)
-
-    def test_auto_workers_positive(self):
-        assert auto_workers() >= 1
 
     def test_dedupes_repeated_points(self):
         executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
@@ -101,14 +94,6 @@ class TestSweepExecutor:
             max_workers=1, cache=RunCache(cache_dir)
         ).run([point])
         assert fresh[0].as_dict() == warm[0].as_dict()
-
-    def test_execute_point_matches_executor(self):
-        point = fast_point()
-        via_executor = SweepExecutor(
-            max_workers=1, cache=None, use_cache=False
-        ).run([point])[0]
-        direct = execute_point(point)
-        assert direct.as_dict() == via_executor.as_dict()
 
 
 class TestParallelDeterminism:
@@ -198,18 +183,13 @@ class TestBaselineIsolation:
             ),
         )
         # Each suite scores its own baseline SKU at exactly 1.0: if the
-        # second suite reused the first's baseline (as a name-keyed
-        # scoreboard would), its metric under the longer window would
-        # divide by the short-window baseline instead.
+        # second suite reused the first's baseline, its metric under the
+        # longer window would divide by the short-window baseline
+        # instead.
         short_scores = short.run("SKU1").scores
         long_scores = long.run("SKU1").scores
         assert all(v == pytest.approx(1.0) for v in short_scores.values())
         assert all(v == pytest.approx(1.0) for v in long_scores.values())
-        # And the scoreboard keys themselves are disjoint fingerprints.
-        short_keys = set(short.scoreboard._baselines)
-        long_keys = set(long.scoreboard._baselines)
-        assert short_keys and long_keys
-        assert short_keys.isdisjoint(long_keys)
 
     def test_different_kernels_get_their_own_baselines(self):
         suite = DCPerfSuite(
@@ -217,15 +197,15 @@ class TestBaselineIsolation:
             measure_seconds=0.5,
             executor=SweepExecutor(max_workers=1, cache=None, use_cache=False),
         )
-        suite.run("SKU1", kernel="6.9")
-        suite.run("SKU1", kernel="6.4")
-        assert len(suite.scoreboard._baselines) == 2
+        for kernel in ("6.9", "6.4"):
+            scores = suite.run("SKU1", kernel=kernel).scores
+            assert scores == {"taobench": pytest.approx(1.0)}
 
 
 class TestSchedulingByteIdentity:
     """Dispatch moves completion order, never bytes: in-process and on
     the warm pool, a sweep merges to the reports of running each point
-    with ``execute_point`` in spec order."""
+    in-process, one at a time, in spec order."""
 
     POINTS = [
         fast_point("taobench", sku="SKU1"),
@@ -237,7 +217,7 @@ class TestSchedulingByteIdentity:
 
     @pytest.fixture(scope="class")
     def spec_order_reference(self):
-        return sweep_bytes(execute_point(p) for p in self.POINTS)
+        return sweep_bytes(run_point(p) for p in self.POINTS)
 
     def test_inproc_matches_spec_order(self, spec_order_reference):
         executor = SweepExecutor(max_workers=1, cache=None, use_cache=False)
@@ -254,76 +234,6 @@ class TestSchedulingByteIdentity:
             assert sweep_bytes(reports) == spec_order_reference
         finally:
             shutdown_warm_pool()
-
-
-class TestAutoWorkersLimits:
-    def test_respects_sched_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", lambda: None
-        )
-        assert auto_workers() == 2
-
-    def test_cgroup_quota_clamps_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(8)), raising=False)
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", lambda: 3
-        )
-        assert auto_workers() == 3
-
-    def test_cgroup_cpu_max_parsing(self, tmp_path):
-        path = tmp_path / "cpu.max"
-        path.write_text("150000 100000\n")
-        assert _cgroup_cpu_quota(str(path)) == 2
-        path.write_text("max 100000\n")
-        assert _cgroup_cpu_quota(str(path)) is None
-        path.write_text("garbage\n")
-        assert _cgroup_cpu_quota(str(path)) is None
-        assert _cgroup_cpu_quota(str(tmp_path / "missing")) is None
-
-    def test_never_below_one(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", lambda: 1
-        )
-        assert auto_workers() == 1
-
-    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
-        # macOS/Windows: os.sched_getaffinity does not exist at all.
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", lambda: None
-        )
-        assert auto_workers() == 6
-
-    def test_cpu_count_none_means_one_worker(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", lambda: None
-        )
-        assert auto_workers() == 1
-
-    def test_quota_probe_is_linux_only(self, monkeypatch):
-        # On a non-Linux platform the cgroup pseudo-file is never
-        # consulted, even if a same-named path would parse.
-        import repro.exec.executor as executor_mod
-
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(executor_mod.sys, "platform", "darwin")
-
-        def boom():
-            raise AssertionError("cgroup probe ran on a non-Linux platform")
-
-        monkeypatch.setattr(
-            "repro.exec.executor._cgroup_cpu_quota", boom
-        )
-        assert auto_workers() == 8
 
 
 class TestProgressEta:

@@ -13,9 +13,10 @@ import pytest
 
 from repro.core.benchmark import Benchmark
 from repro.exec.cache import RunCache
-from repro.exec.executor import SweepExecutor, _run_point_payload, execute_point
+from repro.exec.executor import SweepExecutor, _run_point_payload
 from repro.exec.shard import expand_shards, merge_shard_payloads
 from repro.exec.spec import RunPoint, run_fingerprint, shard_seed
+from tests.conftest import run_point
 
 FAST = dict(measure_seconds=0.5, warmup_seconds=0.2, early_stop=False)
 
@@ -97,7 +98,7 @@ class TestShardMerge:
 
     def test_merged_report_shape(self):
         parent = fast_point(seed=11, shards=2)
-        report = execute_point(parent)
+        report = run_point(parent)
         payload = report.as_dict()
         assert payload["system"]["shards"] == 2
         sharding = payload["hooks"]["sharding"]
@@ -146,7 +147,7 @@ class TestShardMerge:
             union.merge(
                 LatencyRecorder.from_state(rep.result.extra["shard_latency"])
             )
-        merged = execute_point(parent)
+        merged = run_point(parent)
         assert merged.result.latency == union.summary()
 
     @pytest.mark.parametrize("name", ["mediawiki", "djangobench", "feedsim"])
@@ -185,7 +186,7 @@ class TestShardMerge:
         in every shard: summing the shard metrics would report N times
         the unsharded value, so the merge refuses it."""
         with pytest.raises(ValueError, match=workload):
-            execute_point(fast_point(workload, shards=2))
+            run_point(fast_point(workload, shards=2))
 
 
 class TestShardExecution:
@@ -197,8 +198,6 @@ class TestShardExecution:
         assert inproc.last_stats.shard_points == 2
         assert inproc.last_stats.merged_runs == 1
         assert inproc.last_stats.executed == 2
-
-        assert report_bytes(execute_point(parent)) == baseline
 
         pooled = SweepExecutor(max_workers=2, cache=None, use_cache=False)
         assert report_bytes(pooled.run([parent])[0]) == baseline
@@ -266,8 +265,8 @@ class TestShardExecution:
 
     def test_deterministic_replay(self):
         parent = fast_point(seed=11, shards=3)
-        a = report_bytes(execute_point(parent))
-        b = report_bytes(execute_point(parent))
+        a = report_bytes(run_point(parent))
+        b = report_bytes(run_point(parent))
         assert a == b
 
     def test_stats_dict_has_shard_fields(self):

@@ -38,7 +38,6 @@ class TestRunPoint:
             measure_seconds=2.5,
             warmup_seconds=0.25,
             load_scale=1.5,
-            batch=2,
         )
         config = point.run_config()
         assert config.sku_name == "SKU3"
@@ -47,7 +46,6 @@ class TestRunPoint:
         assert config.measure_seconds == 2.5
         assert config.warmup_seconds == 0.25
         assert config.load_scale == 1.5
-        assert config.batch == 2
 
     def test_hashable_and_frozen(self):
         point = RunPoint(benchmark="taobench")

@@ -1,12 +1,16 @@
 """End-to-end fault injection: determinism, degradation, reporting."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
 from repro.core.benchmark import Benchmark
+from repro.core.suite import DCPerfSuite
+from repro.exec.spec import RunPoint
 from repro.workloads.base import RunConfig
-from repro.workloads.scenarios import apply_fault_scenario
+from repro.workloads.scenarios import apply_fault_scenario, fault_scenario_names
+from tests.conftest import run_point
 
 FAST = dict(measure_seconds=0.6, warmup_seconds=0.2, seed=11)
 
@@ -84,3 +88,42 @@ class TestResilienceReporting:
     def test_slo_compliance_drops_under_brownout(self):
         faulted = run_taobench("brownout").hook_sections["resilience"]
         assert faulted["slo_compliance_pct"] < 100.0
+
+
+#: Short window for the scenario x suite-entry matrix.
+MATRIX = dict(sku="SKU2", measure_seconds=0.3, warmup_seconds=0.1)
+#: Batch jobs with no request path: the fault injector never starts for
+#: them, so every scenario leaves their reports untouched.
+FAULT_FREE_BATCH_JOBS = ("sparkbench", "videotranscode")
+
+
+@lru_cache(maxsize=None)
+def _fault_free_report(name):
+    return canonical(run_point(RunPoint(benchmark=name, **MATRIX)))
+
+
+@pytest.mark.parametrize("scenario", fault_scenario_names())
+@pytest.mark.parametrize("name", DCPerfSuite().benchmark_names)
+def test_every_suite_entry_completes_under_every_scenario(name, scenario):
+    """``dcperf suite --faults S`` runs every entry to completion (a
+    crash-restart stalls the LLM engine loop instead of killing it)."""
+    report = run_point(RunPoint(benchmark=name, faults=scenario, **MATRIX))
+    assert report.metric_value > 0
+    if name in FAULT_FREE_BATCH_JOBS:
+        assert report.hook_sections["resilience"] == {"enabled": False}
+        assert canonical(report) == _fault_free_report(name)
+    else:
+        assert report.hook_sections["resilience"]["scenario"] == scenario
+
+
+def test_compaction_waits_out_a_crash_restart():
+    """Under blackout on SKU2 with a 0.3 s window, a compaction comes
+    due while the server is down: it waits for the restart instead of
+    ending the run with ``ServerUnavailableError``."""
+    point = RunPoint(
+        benchmark="storagebench", sku="SKU2", measure_seconds=0.3,
+        faults="blackout",
+    )
+    report = run_point(point)
+    assert report.hook_sections["resilience"]["scenario"] == "blackout"
+    assert report.metric_value > 0

@@ -1,8 +1,8 @@
 """Golden-trace determinism suite.
 
 Runs every named DCPerf workload (fault-free) plus every named fault
-scenario through the old-API surface (``execute_point`` → normalized
-report codec) and asserts the canonical report JSON is byte-identical
+scenario through the in-process executor (normalized report codec,
+shard merge) and asserts the canonical report JSON is byte-identical
 to digests recorded *before* the sim-engine fast path landed.
 
 These digests pin the simulator's observable behavior: any engine,
@@ -15,7 +15,7 @@ window matches the pre-fast-path engine exactly, except in
 
 Regenerate (only when an *intentional* model/behavior change lands)::
 
-    PYTHONPATH=src python tests/test_golden_traces.py --regen
+    PYTHONPATH=src python -m tests.test_golden_traces --regen
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import fields
 
 import pytest
 
-from repro.exec.executor import execute_point
 from repro.exec.spec import RunPoint
 from repro.sim.engine import Environment
+from tests.conftest import run_point
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
 
@@ -134,7 +134,7 @@ def golden_points():
 
 def report_digest(point: RunPoint) -> str:
     """SHA-256 over the canonical JSON of the point's report."""
-    report = execute_point(point)
+    report = run_point(point)
     canon = json.dumps(report.as_dict(), sort_keys=True)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -151,7 +151,7 @@ def test_report_matches_golden_digest(case, point):
     goldens = _load_goldens()
     assert case in goldens, (
         f"no golden recorded for {case}; run "
-        "`PYTHONPATH=src python tests/test_golden_traces.py --regen`"
+        "`PYTHONPATH=src python -m tests.test_golden_traces --regen`"
     )
     digest = report_digest(point)
     assert digest == goldens[case]["digest"], (

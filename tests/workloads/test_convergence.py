@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.exec.executor import execute_point
 from repro.exec.spec import RunPoint
 from repro.sim.engine import Environment
 from repro.workloads.runner import ConvergenceMonitor, ThreadPool
+from tests.conftest import run_point
 
 
 class TestConvergenceMonitor:
@@ -66,19 +66,19 @@ class TestEarlyStopRuns:
             warmup_seconds=0.3,
             early_stop=True,
         )
-        first = execute_point(point).as_dict()
-        second = execute_point(point).as_dict()
+        first = run_point(point).as_dict()
+        second = run_point(point).as_dict()
         assert first == second
         extra = first["result"]["extra"]
         assert extra["early_stopped"] == 1.0
         assert 0.0 < extra["measured_seconds"] < 3.0
 
     def test_early_stop_metric_close_to_full_window(self):
-        full = execute_point(
+        full = run_point(
             RunPoint(benchmark="taobench", measure_seconds=3.0,
                      warmup_seconds=0.3)
         )
-        fast = execute_point(
+        fast = run_point(
             RunPoint(benchmark="taobench", measure_seconds=3.0,
                      warmup_seconds=0.3, early_stop=True)
         )
@@ -87,7 +87,7 @@ class TestEarlyStopRuns:
         )
 
     def test_disabled_early_stop_adds_no_extra_keys(self):
-        report = execute_point(
+        report = run_point(
             RunPoint(benchmark="taobench", measure_seconds=0.5,
                      warmup_seconds=0.2, early_stop=False)
         )
@@ -96,7 +96,7 @@ class TestEarlyStopRuns:
         assert "measured_seconds" not in extra
 
     def test_fault_runs_never_stop_early(self):
-        report = execute_point(
+        report = run_point(
             RunPoint(benchmark="taobench", measure_seconds=0.5,
                      warmup_seconds=0.2, faults="brownout",
                      early_stop=True)

@@ -8,7 +8,6 @@ from repro.workloads.registry import (
     get_workload,
     production_counterparts,
 )
-from repro.workloads.production import production_workload
 
 
 class TestRegistry:
@@ -36,12 +35,12 @@ class TestProductionCounterparts:
         "sparkbench", "videotranscode",
     ])
     def test_counterpart_exists(self, bench):
-        workload = production_workload(bench)
+        workload = get_workload(f"{bench}:prod")
         assert workload.characteristics.name.endswith("-prod")
 
     def test_unknown_counterpart(self):
         with pytest.raises(KeyError):
-            production_workload("nope")
+            get_workload("nope:prod")
 
     def test_prod_twin_runs_same_structure(self, quick_config):
         """The counterpart is runnable with the same interface and

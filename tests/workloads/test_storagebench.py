@@ -7,7 +7,7 @@ from repro.core.suite import FLEET_POWER_WEIGHTS
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import dcperf_benchmarks, get_workload
 from repro.workloads.scenarios import apply_fault_scenario
-from repro.workloads.storagebench import DEFAULT_BATCH, StorageBench
+from repro.workloads.storagebench import BATCH, StorageBench
 
 
 def _config(**overrides):
@@ -41,11 +41,11 @@ class TestSuiteIntegration:
         assert sum(FLEET_POWER_WEIGHTS.values()) == pytest.approx(1.0)
 
     def test_batch_default_applied(self, plain_report):
-        """A batch=1 config is promoted to the workload default; the
-        WAL byte counters carry the production-scale multiplier."""
+        """The workload runs at its own batch factor; the WAL byte
+        counters carry the production-scale multiplier."""
         extra = plain_report.result.extra
         # Per-put WAL bytes >= batch * (min value + framing overhead).
-        assert extra["io_wal_bytes"] >= extra["lsm_puts"] * DEFAULT_BATCH * 64
+        assert extra["io_wal_bytes"] >= extra["lsm_puts"] * BATCH * 64
 
 
 class TestReporting:

@@ -4,11 +4,11 @@ import gc
 
 import pytest
 
-from repro.exec.executor import execute_point
 from repro.exec.spec import RunPoint
 from repro.sim.engine import Process
 from repro.workloads.base import RunConfig
 from repro.workloads.taobench import TaoBench, expected_hit_rate
+from tests.conftest import run_point
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ class TestProcessTeardown:
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            execute_point(point)
+            run_point(point)
             gc.collect()
             processes = [o for o in gc.garbage if isinstance(o, Process)]
             finished = sum(1 for p in processes if not p.is_alive)

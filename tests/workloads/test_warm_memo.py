@@ -12,12 +12,12 @@ import random
 import pytest
 
 from repro.cachelib.memcached import MemcachedServer
-from repro.exec.executor import execute_point
 from repro.exec.spec import RunPoint
 from repro.sim.rng import RngStreams, lognormal_sampler
 from repro.workloads import feedsim, taobench
 from repro.workloads.base import RunConfig
 from repro.workloads.profiles import BENCHMARK_PROFILES
+from tests.conftest import run_point
 
 
 def _point(seed=11, benchmark="taobench"):
@@ -90,34 +90,34 @@ class TestWarmFill:
 class TestWarmMemo:
     def test_memo_hit_is_byte_identical(self):
         taobench.warm_fill.cache_clear()
-        first = execute_point(_point())   # builds the fill
+        first = run_point(_point())   # builds the fill
         assert taobench.warm_fill.cache_info().currsize == 1
-        second = execute_point(_point())  # shares it
+        second = run_point(_point())  # shares it
         assert taobench.warm_fill.cache_info().hits == 1
         assert first.metric_value == second.metric_value
         assert first.as_dict() == second.as_dict()
 
     def test_different_seed_is_a_different_fill(self):
         taobench.warm_fill.cache_clear()
-        execute_point(_point(seed=11))
-        execute_point(_point(seed=12))  # different size-stream state
+        run_point(_point(seed=11))
+        run_point(_point(seed=12))  # different size-stream state
         assert taobench.warm_fill.cache_info().currsize == 2
 
 
 class TestFeedsimSearchMemo:
     def test_memo_hit_is_byte_identical(self):
         feedsim._registry_operating_point.cache_clear()
-        first = execute_point(_point(benchmark="feedsim"))
+        first = run_point(_point(benchmark="feedsim"))
         assert feedsim._registry_operating_point.cache_info().currsize == 1
-        second = execute_point(_point(benchmark="feedsim"))
+        second = run_point(_point(benchmark="feedsim"))
         assert feedsim._registry_operating_point.cache_info().hits == 1
         assert first.metric_value == second.metric_value
         assert first.as_dict() == second.as_dict()
 
     def test_different_seed_is_a_different_search(self):
         feedsim._registry_operating_point.cache_clear()
-        execute_point(_point(seed=11, benchmark="feedsim"))
-        execute_point(_point(seed=12, benchmark="feedsim"))
+        run_point(_point(seed=11, benchmark="feedsim"))
+        run_point(_point(seed=12, benchmark="feedsim"))
         assert feedsim._registry_operating_point.cache_info().currsize == 2
 
     def test_custom_characteristics_bypass_the_memo(self):

@@ -108,7 +108,7 @@ def bench_request_loop(rate_rps: float, sim_seconds: float) -> dict:
 
 def bench_cold_point(measure_seconds: float) -> dict:
     """One taobench point end to end — the unit a sweep repeats."""
-    from repro.exec.executor import execute_point
+    from repro.exec.executor import SweepExecutor
     from repro.exec.spec import RunPoint
 
     point = RunPoint(
@@ -118,7 +118,7 @@ def bench_cold_point(measure_seconds: float) -> dict:
         warmup_seconds=0.3,
     )
     start = time.perf_counter()
-    report = execute_point(point)
+    report = SweepExecutor(max_workers=1, use_cache=False).run([point])[0]
     elapsed = time.perf_counter() - start
     return {
         "wall_seconds": elapsed,

@@ -181,17 +181,18 @@ echo "== SLO control-plane smoke (compound scenario, shed replay) =="
 python - <<'EOF'
 import json
 
-from repro.exec.executor import SweepExecutor, execute_point
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 
+local = SweepExecutor(max_workers=1, use_cache=False)
 point = RunPoint(benchmark="taobench", sku="SKU2", seed=11,
                  measure_seconds=0.5, warmup_seconds=0.2,
                  faults="overload_shed")
 
 # Replaying a compound scenario twice must reproduce every byte,
 # including each window's shed decisions and the window series itself.
-first = execute_point(point).as_dict()
-replay = execute_point(point).as_dict()
+first = local.run([point])[0].as_dict()
+replay = local.run([point])[0].as_dict()
 assert first == replay, "overload_shed replay is not deterministic"
 
 # The warm-pool transport must carry the control section unchanged.
@@ -216,25 +217,28 @@ echo "== early-stop smoke (convergence on/off) =="
 python - <<'EOF'
 import json
 
-from repro.exec.executor import execute_point
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 
+local = SweepExecutor(max_workers=1, use_cache=False)
 base = dict(benchmark="taobench", sku="SKU2", seed=11,
             measure_seconds=0.6, warmup_seconds=0.2)
 
 # Under fault injection the convergence monitor is skipped entirely:
 # the report must be byte-identical whether early_stop is set or not.
-faulted = json.dumps(execute_point(
-    RunPoint(faults="blackout", **base)).as_dict(), sort_keys=True)
-faulted_es = json.dumps(execute_point(
-    RunPoint(faults="blackout", early_stop=True, **base)).as_dict(),
-    sort_keys=True)
+faulted, faulted_es = [
+    json.dumps(report.as_dict(), sort_keys=True)
+    for report in local.run([
+        RunPoint(faults="blackout", **base),
+        RunPoint(faults="blackout", early_stop=True, **base),
+    ])
+]
 assert faulted == faulted_es, "early_stop changed a fault-injection report"
 
 # A clean early-stop run is deterministic and says so in the report.
 fast = RunPoint(early_stop=True, **dict(base, measure_seconds=3.0))
-first = execute_point(fast).as_dict()
-second = execute_point(fast).as_dict()
+first = local.run([fast])[0].as_dict()
+second = local.run([fast])[0].as_dict()
 assert first == second, "early-stop replay is not deterministic"
 extra = first["result"]["extra"]
 assert extra["early_stopped"] == 1.0 and extra["measured_seconds"] < 3.0
@@ -247,9 +251,10 @@ echo "== storagebench smoke (run + fault replay + cache round-trip) =="
 python - <<'EOF'
 import json
 
-from repro.exec.executor import SweepExecutor, execute_point
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 
+local = SweepExecutor(max_workers=1, use_cache=False)
 base = dict(benchmark="storagebench", sku="SKU2", seed=11,
             measure_seconds=0.5, warmup_seconds=0.2)
 plain = RunPoint(**base)
@@ -257,10 +262,10 @@ degraded = RunPoint(faults="disk_degraded", **base)
 
 # The device-channel fault must replay deterministically and show up
 # in foreground behavior (stalls, p99) and the iostat section.
-first = execute_point(degraded).as_dict()
-replay = execute_point(degraded).as_dict()
+first = local.run([degraded])[0].as_dict()
+replay = local.run([degraded])[0].as_dict()
 assert first == replay, "disk_degraded replay is not deterministic"
-clean = execute_point(plain).as_dict()
+clean = local.run([plain])[0].as_dict()
 iostat = first["hooks"]["iostat"]
 assert iostat["enabled"] and iostat["flushes"] >= 1
 assert iostat["stall_seconds"] > clean["hooks"]["iostat"]["stall_seconds"]
@@ -287,16 +292,17 @@ echo "== llmbench smoke (cross-path byte-identity + cache round-trip) =="
 python - <<'EOF'
 import json
 
-from repro.exec.executor import SweepExecutor, execute_point
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 
+local = SweepExecutor(max_workers=1, use_cache=False)
 base = dict(benchmark="llmbench-chat", sku="SKU2", seed=11,
             measure_seconds=0.5, warmup_seconds=0.2, early_stop=False)
 point = RunPoint(**base)
 
 # A fixed-seed serving run must replay byte-identically in process...
-first = json.dumps(execute_point(point).as_dict(), sort_keys=True)
-replay = json.dumps(execute_point(point).as_dict(), sort_keys=True)
+first = json.dumps(local.run([point])[0].as_dict(), sort_keys=True)
+replay = json.dumps(local.run([point])[0].as_dict(), sort_keys=True)
 assert first == replay, "llmbench in-proc replay diverged"
 
 # ...through the warm worker pool...
@@ -328,7 +334,7 @@ python - <<'EOF'
 import json
 
 from repro.core.benchmark import Benchmark
-from repro.exec.executor import SweepExecutor, execute_point
+from repro.exec.executor import SweepExecutor
 from repro.exec.spec import RunPoint
 
 base = dict(benchmark="taobench", sku="SKU2", seed=11,
@@ -355,7 +361,6 @@ warm_ex = SweepExecutor(max_workers=2, cache=None, use_cache=False)
 warm = json.dumps(warm_ex.run([sharded])[0].as_dict(), sort_keys=True)
 assert warm_ex.last_stats.pool_mode == "warm"
 assert warm == inproc, "sharded warm-pool run diverged from in-proc"
-assert json.dumps(execute_point(sharded).as_dict(), sort_keys=True) == inproc
 
 # ...and round-trips the run cache: first sweep writes 2 shard entries
 # + the merged parent, the rerun is served entirely from the parent hit.
@@ -370,8 +375,19 @@ merged = json.loads(inproc)
 assert merged["system"]["shards"] == 2
 assert merged["hooks"]["sharding"]["role"] == "merged"
 print("shard smoke ok: shards=1 identical to in-proc runner, shards=2 "
-      "byte-identical across in-proc/warm/execute_point + cache round-trip")
+      "byte-identical across in-proc/warm + cache round-trip")
 EOF
+
+# The tests call main() in-process; this step runs the dcperf entry
+# point as a process.  Each command must exit 0.
+echo "== CLI smoke (run, sharded run, suite under blackout, cache info) =="
+python -m repro.core.cli run -b taobench --measure-seconds 0.3 > /dev/null
+python -m repro.core.cli run -b taobench --shards 2 --measure-seconds 0.3 \
+    > /dev/null
+python -m repro.core.cli suite --faults blackout --measure-seconds 0.3 \
+    > /dev/null
+python -m repro.core.cli cache info > /dev/null
+echo "CLI smoke ok: run, run --shards 2, suite --faults blackout, cache info"
 
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
