@@ -272,7 +272,7 @@ class LlmReplica:
       token.  One engine step delivers its gaps in sequence order, one
       call per run of consecutive equal gaps, so the callback sees the
       same multiset (and order) of gaps as ``count`` single-token calls;
-      ``LatencyRecorder.record`` takes this signature directly.
+      ``BucketedHistogram.record`` takes this signature directly.
     * ``on_preempt_resume(seq, stall_seconds)`` — time a preempted
       sequence spent evicted from the batch, at its re-admission.
     """
@@ -295,10 +295,10 @@ class LlmReplica:
         self.active: List[Sequence] = []
         self._prefix_cache = _PrefixCache(params.prefix_cache_entries)
         self._wake: Optional[Event] = None
-        # Decode cost by resident count: ``len(active)`` never exceeds
-        # the slot count, and each entry is the method's own result.
-        self._decode_instructions = [
-            params.decode_step_instructions(residents)
+        # Each decode step's burst arguments, by resident count
+        # (``len(active)`` never exceeds the slot count).
+        self._decode_bursts = [
+            harness.burst_args(params.decode_step_instructions(residents))
             for residents in range(params.max_batch_slots + 1)
         ]
         self.on_first_token = on_first_token
@@ -396,11 +396,13 @@ class LlmReplica:
         seq.kv_tokens += 1
         return True
 
-    def _decode(self, now: float) -> None:
-        """Book one engine step's tokens: one per resident sequence.
+    def _loop(self) -> Generator:
+        """Admit and prefill queued sequences, then run decode steps.
 
-        When the step's whole KV growth fits the budget no sequence can
-        be preempted, so the growth is reserved once: a local residency
+        A step books one token per resident sequence, inline, so the
+        loop binds its state once instead of once per step.  When the
+        step's whole KV growth fits the budget no sequence can be
+        preempted, so the growth is reserved once: a local residency
         count written back after the walk.  Completions free their KV
         mid-step, and residency only grows between two frees, so the
         peak is taken just before each free and once at the end — the
@@ -408,72 +410,23 @@ class LlmReplica:
         growth does not fit, each sequence grows through
         :meth:`_grow_kv`, preempting the youngest resident as needed.
         """
-        active = self.active
-        kv = self.kv
-        stats = self.stats
-        on_first_token = self.on_first_token
-        on_token = self.on_token
-        bulk = kv.resident_tokens + len(active) <= kv.budget_tokens
-        resident = kv.resident_tokens
-        peak = kv.peak_tokens
-        decoded_tokens = 0
-        gap = None
-        run = 0
-        for seq in list(active):
-            if bulk:
-                resident += 1
-                seq.kv_tokens += 1
-            elif seq.needs_prefill or not self._grow_kv(seq):
-                # Preempted by an earlier sequence's growth, or by its own.
-                continue
-            decoded_tokens += 1
-            seq.decoded += 1
-            if seq.first_token_at is None:
-                seq.first_token_at = now
-                if on_first_token is not None:
-                    on_first_token(seq, now - seq.submitted_at)
-            elif on_token is not None:
-                seq_gap = now - seq.last_token_at
-                if seq_gap == gap:
-                    run += 1
-                else:
-                    if run:
-                        on_token(gap, run)
-                    gap = seq_gap
-                    run = 1
-            seq.last_token_at = now
-            if seq.decoded >= seq.target_tokens:
-                active.remove(seq)
-                if bulk:
-                    if resident > peak:
-                        peak = resident
-                    resident -= seq.kv_tokens
-                else:
-                    kv.release(seq.kv_tokens)
-                seq.kv_tokens = 0
-                stats.completions += 1
-                seq.done.succeed()
-        if run:
-            on_token(gap, run)
-        stats.decoded_tokens += decoded_tokens
-        if bulk:
-            kv.resident_tokens = resident
-            kv.peak_tokens = resident if resident > peak else peak
-
-    def _loop(self) -> Generator:
         env = self.env
         harness = self.harness
         scheduler = harness.scheduler
         stats = self.stats
+        kv = self.kv
+        on_first_token = self.on_first_token
+        on_token = self.on_token
         prefill_instr_per_token = self.params.prefill_instr_per_token
-        decode_instructions = self._decode_instructions
+        decode_bursts = self._decode_bursts
         active = self.active
+        pending = self.pending
         while True:
-            if not active and not self.pending:
+            if not active and not pending:
                 self._wake = Event(env)
                 yield self._wake
                 self._wake = None
-            fresh = self._admit()
+            fresh = self._admit() if pending else None
             if fresh:
                 instructions = 0.0
                 for seq in fresh:
@@ -491,6 +444,53 @@ class LlmReplica:
                 continue
             if scheduler.offline:
                 yield from harness.wait_online()
-            yield from harness.burst(decode_instructions[len(active)])
+            user, kernel, dispatches = decode_bursts[len(active)]
+            yield from scheduler.execute(user, kernel, dispatches)
             stats.steps += 1
-            self._decode(env.now)
+            now = env.now
+            bulk = kv.resident_tokens + len(active) <= kv.budget_tokens
+            resident = kv.resident_tokens
+            peak = kv.peak_tokens
+            decoded_tokens = 0
+            gap = None
+            run = 0
+            for seq in list(active):
+                if bulk:
+                    resident += 1
+                    seq.kv_tokens += 1
+                elif seq.needs_prefill or not self._grow_kv(seq):
+                    # Preempted by an earlier sequence's growth, or by its own.
+                    continue
+                decoded_tokens += 1
+                seq.decoded += 1
+                if seq.first_token_at is None:
+                    seq.first_token_at = now
+                    if on_first_token is not None:
+                        on_first_token(seq, now - seq.submitted_at)
+                elif on_token is not None:
+                    seq_gap = now - seq.last_token_at
+                    if seq_gap == gap:
+                        run += 1
+                    else:
+                        if run:
+                            on_token(gap, run)
+                        gap = seq_gap
+                        run = 1
+                seq.last_token_at = now
+                if seq.decoded >= seq.target_tokens:
+                    active.remove(seq)
+                    if bulk:
+                        if resident > peak:
+                            peak = resident
+                        resident -= seq.kv_tokens
+                    else:
+                        kv.release(seq.kv_tokens)
+                    seq.kv_tokens = 0
+                    stats.completions += 1
+                    seq.done.succeed()
+            if run:
+                on_token(gap, run)
+            stats.decoded_tokens += decoded_tokens
+            if bulk:
+                kv.resident_tokens = resident
+                kv.peak_tokens = resident if resident > peak else peak

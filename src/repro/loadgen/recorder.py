@@ -54,19 +54,6 @@ class BucketedHistogram:
         """Quantize to integer microseconds (half-up)."""
         return int(seconds * 1e6 + 0.5)
 
-    def _index(self, units: int) -> int:
-        """Bucket index for a microsecond count.
-
-        ``units < sub_count`` map 1:1 (exact); above that, a value in
-        magnitude ``k`` (``units in [sub<<k, sub<<(k+1))``) lands at
-        ``k*sub + (units >> k)`` — contiguous, monotone, and unique.
-        """
-        sub = self._sub_count
-        if units < sub:
-            return units
-        shift = units.bit_length() - self.precision_bits - 1
-        return shift * sub + (units >> shift)
-
     def _bucket_mid_seconds(self, index: int) -> float:
         """Representative (midpoint) value of a bucket, in seconds."""
         sub = self._sub_count
@@ -90,14 +77,24 @@ class BucketedHistogram:
         """Count ``count`` samples of ``seconds`` (``count`` >= 1).
 
         ``seconds`` must be finite and >= 0: no bucket holds ``nan``,
-        ``inf`` or a negative value.  The check runs before any state
+        ``inf`` or a negative value.  The checks run before any state
         changes.
         """
+        if count < 1:
+            raise ValueError("count must be >= 1")
         # One chained comparison: false for nan, inf and negatives.
         if not 0.0 <= seconds < _INF:
             raise ValueError(_BAD_LATENCY.format(seconds))
         units = self._units(seconds)
-        index = self._index(units)
+        # The bucket: ``units < sub`` map 1:1 (exact); magnitude ``k``
+        # (``units in [sub<<k, sub<<(k+1))``) lands at ``k*sub + (units
+        # >> k)`` — contiguous, monotone, and unique.
+        sub = self._sub_count
+        if units < sub:
+            index = units
+        else:
+            shift = units.bit_length() - self.precision_bits - 1
+            index = shift * sub + (units >> shift)
         self._counts[index] = self._counts.get(index, 0) + count
         self._total += count
         if units > self._max_units:
@@ -213,12 +210,12 @@ class LatencyRecorder:
         every exact percentile, and the hdr backend cannot bucket
         ``nan`` or ``inf``.  The check runs before any state changes.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
         if self._hist is not None:
-            # The histogram makes the same check.
+            # The histogram makes the same checks.
             self._hist.record(latency_seconds, count)
             return
+        if count < 1:
+            raise ValueError("count must be >= 1")
         # One chained comparison: false for nan, inf and negatives.
         if not 0.0 <= latency_seconds < _INF:
             raise ValueError(_BAD_LATENCY.format(latency_seconds))

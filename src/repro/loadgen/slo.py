@@ -9,8 +9,8 @@ a candidate rate and checks the SLO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Optional
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ class ProbeResult:
     latency_at_percentile: float
     error_rate: float
     cpu_util: float
+    #: The trial's full result, for a caller that reports it as its run.
+    run: Any = field(default=None, compare=False, repr=False)
 
     def meets(self, slo: SLO) -> bool:
         return (

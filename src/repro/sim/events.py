@@ -28,9 +28,10 @@ def _subscribe(env: Environment, event: Event, callback) -> None:
 def all_of(env: Environment, events: Sequence[Event]) -> Event:
     """An event firing once every input has fired.
 
-    Its value is the list of input values in input order.  If any input
-    fails, the combinator fails with that exception (first failure
-    wins; remaining results are discarded).
+    Its value is the list of input values in input order.  The first
+    input to fail fails the combinator with its exception while
+    something waits on it; a join its waiter abandoned (a deadline
+    interrupted it) drops the failure, as ``ThreadPool`` does.
     """
     events = list(events)
     result = Event(env)
@@ -45,7 +46,8 @@ def all_of(env: Environment, events: Sequence[Event]) -> Event:
             if result.triggered:
                 return
             if not event.ok:
-                result.fail(event.value)
+                if result.callbacks:
+                    result.fail(event.value)
                 return
             values[index] = event.value
             remaining[0] -= 1
@@ -63,7 +65,8 @@ def any_of(env: Environment, events: Sequence[Event]) -> Event:
     """An event firing when the first input fires.
 
     Its value is ``(index, value)`` of the winner.  A failing first
-    input fails the combinator.
+    input fails the combinator while something waits on it; with no
+    waiter left the failure is dropped, as in :func:`all_of`.
 
     On resolving, the combinator takes its callback back off every
     input that is a still-pending :class:`Timeout`, so a lost deadline
@@ -86,7 +89,7 @@ def any_of(env: Environment, events: Sequence[Event]) -> Event:
                 return
             if event.ok:
                 result.succeed((index, event.value))
-            else:
+            elif result.callbacks:
                 result.fail(event.value)
             # Drained, not walked: the list holds these very closures,
             # so emptying it also leaves no reference cycle behind.

@@ -17,6 +17,7 @@ extraction cost varies by candidate), and the request must join on the
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 from typing import Generator, Optional
 
@@ -119,11 +120,15 @@ class FeedSim(Workload):
 
         return handler
 
-    def _probe(self, config: RunConfig, offered_rps: float) -> ProbeResult:
-        """One trial at a fixed offered load."""
+    def _measure(self, config: RunConfig, offered_rps: float) -> WorkloadResult:
+        """One run at a fixed offered load, on a fresh harness."""
         harness = BenchmarkHarness(config, self._chars)
         handler = self._build_handler(harness)
-        result = harness.run_open_loop(handler, offered_rps=offered_rps)
+        return harness.run_open_loop(handler, offered_rps=offered_rps)
+
+    def _probe(self, config: RunConfig, offered_rps: float) -> ProbeResult:
+        """One trial at a fixed offered load."""
+        result = self._measure(config, offered_rps)
         p95 = result.latency.get("p95", float("inf"))
         return ProbeResult(
             offered_rps=offered_rps,
@@ -132,6 +137,7 @@ class FeedSim(Workload):
             error_rate=result.latency.get("errors", 0)
             / max(1, result.latency.get("count", 1)),
             cpu_util=result.cpu_util,
+            run=result,
         )
 
     def search(self, config: RunConfig) -> SloSearchResult:
@@ -147,7 +153,8 @@ class FeedSim(Workload):
         )
 
     def _operating_point(self, config: RunConfig):
-        """(operating_rps, slo_met, probes_run, p95) of the SLO search.
+        """(operating_rps, slo_met, probes_run, p95, run) of the SLO search;
+        ``run`` is the probe at ``operating_rps`` (``None`` at the floor).
 
         Only the registry profiles, whose identity is stable for the
         life of the process, share the memoized search; a caller-built
@@ -169,6 +176,7 @@ class FeedSim(Workload):
                 True,
                 float(search.probes_run),
                 search.probe.latency_at_percentile,
+                search.probe.run,
             )
         except ValueError:
             # The SLO cannot be met at any load: on a pathologically
@@ -176,16 +184,16 @@ class FeedSim(Workload):
             # The benchmark still reports a (floor) throughput — the
             # machine serves traffic, it just always violates the SLO.
             harness = BenchmarkHarness(config, self._chars)
-            return (harness.server.capacity_rps() * 0.05, False, None, None)
+            return (harness.server.capacity_rps() * 0.05, False, None, None, None)
 
     def run(self, config: RunConfig) -> WorkloadResult:
-        operating_rps, slo_met, probes_run, search_p95 = self._operating_point(
-            config
+        operating_rps, slo_met, probes_run, search_p95, probed = (
+            self._operating_point(config)
         )
-        # Re-run at the converged operating point for full metrics.
-        harness = BenchmarkHarness(config, self._chars)
-        handler = self._build_handler(harness)
-        result = harness.run_open_loop(handler, offered_rps=operating_rps)
+        if probed is None:
+            result = self._measure(config, operating_rps)
+        else:
+            result = copy.deepcopy(probed)  # the memoized probe stays as is
         result.extra["slo_met"] = float(slo_met)
         result.extra["slo_max_rps"] = operating_rps
         if probes_run is not None:
@@ -205,8 +213,7 @@ def _registry_operating_point(profile: str, config: RunConfig):
     ``config.seed``, so the converged operating point is a pure
     function of (profile, config), and ``config`` is a frozen, hashable
     dataclass that pins everything else the search depends on (seed,
-    SKU, kernel, window, load scale).  The final measurement run, again
-    a fresh harness, is byte-identical whether the search ran or was
-    shared.
+    SKU, kernel, window, load scale).  The memo keeps the probe run at
+    the operating point too: it is the run :meth:`FeedSim.run` reports.
     """
     return FeedSim(get_profile(profile))._search_point(config)

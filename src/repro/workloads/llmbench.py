@@ -19,9 +19,9 @@ Serving structure:
   still correlate turns through shared prefixes and think times.
 * **Token-level SLOs.**  TTFT (arrival to first token) and inter-token
   gaps feed dedicated recorders.  The engine hands each step's gaps to
-  the ITL recorder as ``(gap_seconds, count)`` runs, which is
-  ``LatencyRecorder.record``'s own signature: the recorder method is
-  the callback, and a step whose ``n`` gaps are equal costs one call.
+  the ITL ``BucketedHistogram`` as ``(gap_seconds, count)`` runs, its
+  ``record`` method's own signature: that method is the callback, and
+  a step whose ``n`` gaps are equal costs one call.
   When the run carries the SLO control plane
   (``--faults overload_shed``), turn latency drives the windowed
   tracker, preemption stalls fold into its accounting, and the token
@@ -52,7 +52,7 @@ from repro.llm.engine import (
 )
 from repro.llm.sessions import SessionGenerator, SessionPlan
 from repro.loadgen.generators import Request
-from repro.loadgen.recorder import LatencyRecorder
+from repro.loadgen.recorder import BucketedHistogram, LatencyRecorder
 from repro.uarch.characteristics import WorkloadCharacteristics
 from repro.workloads.base import RunConfig, Workload, WorkloadResult
 from repro.workloads.profiles import BENCHMARK_PROFILES
@@ -105,7 +105,7 @@ class LlmBench(Workload):
         num_replicas = max(1, cores // CORES_PER_REPLICA)
 
         ttft = LatencyRecorder()
-        itl = LatencyRecorder(backend="hdr")
+        itl = BucketedHistogram()
         engine_stats = EngineStats()
         slo_tracker = harness.slo_tracker
 
@@ -183,7 +183,7 @@ class LlmBench(Workload):
         def window_reset() -> Generator:
             yield env.sleep(config.warmup_seconds)
             ttft.reset()
-            itl.reset()
+            itl.clear()
             engine_stats.reset()
             for replica in replicas:
                 replica.kv.peak_tokens = replica.kv.resident_tokens
@@ -247,8 +247,8 @@ class LlmBench(Workload):
         extra["llm_queue_depth_end"] = float(queued_now)
         extra["llm_ttft_p50_s"] = ttft.percentile(50.0) if len(ttft) else 0.0
         extra["llm_ttft_p99_s"] = ttft.percentile(99.0) if len(ttft) else 0.0
-        extra["llm_itl_p50_s"] = itl.percentile(50.0) if len(itl) else 0.0
-        extra["llm_itl_p99_s"] = itl.percentile(99.0) if len(itl) else 0.0
+        extra["llm_itl_p50_s"] = itl.percentile(50.0) if itl.total else 0.0
+        extra["llm_itl_p99_s"] = itl.percentile(99.0) if itl.total else 0.0
         if slo_tracker is not None:
             # Token-level SLO signals join the report's SLO section
             # (the SloControl hook passes slo_ttft_*/slo_itl_* through).

@@ -4,9 +4,9 @@ Couples the analytical model (service rates) with the event-level
 concurrency structure (thread pools, queues, schedulers).  The split of
 responsibilities:
 
-* :class:`ServerModel` — converts a workload's instruction counts into
-  core-seconds using the projection engine's IPC and frequency for the
-  (workload, SKU) pair.
+* :class:`ServerModel` — the instruction rate of one logical core for
+  the (workload, SKU) pair, from the projection engine's IPC and
+  frequency.
 * :class:`ThreadPool` — a worker pool pulling work items off a queue;
   models UWSGI worker processes, HHVM threads, TAO fast/slow pools.
 * :class:`BenchmarkHarness` — wires a load generator to a handler,
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Generator, Optional
+from typing import Callable, Deque, Dict, Generator, Optional, Tuple
 
 from repro.faults.control import SloControlPlane
 from repro.faults.injector import FaultInjector
@@ -63,12 +63,6 @@ class ServerModel:
         )
         #: Instructions per second the whole server sustains at 100%.
         self.server_ips = self.per_logical_ips * cpu.logical_cores
-
-    def service_seconds(self, instructions: float) -> float:
-        """Core-seconds one logical core needs for an instruction count."""
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        return instructions / self.per_logical_ips
 
     def capacity_rps(self) -> float:
         """Unimpeded request capacity (no queueing/scheduler losses)."""
@@ -336,28 +330,42 @@ class BenchmarkHarness:
         )
 
     # --- burst helpers --------------------------------------------------------
-    def burst(
+    def burst_args(
         self,
         instructions: float,
         kernel_frac: Optional[float] = None,
         dispatches_per_request: int = 1,
-    ):
-        """One CPU burst with kernel accounting: returns the scheduler's
-        :meth:`~repro.oskernel.scheduler.CpuScheduler.execute` generator
-        for the caller to ``yield from``.
+    ) -> Tuple[float, float, int]:
+        """``(user_seconds, kernel_seconds, dispatches)`` of one burst:
+        ``instructions`` on one logical core, times the batch factor,
+        split by the kernel fraction.  They are fixed for the harness's
+        life (``CpuScheduler.execute`` applies faults and relief on each
+        burst), so the LLM engine computes each decode step's once.
 
         ``dispatches_per_request`` is the number of production-side
         scheduling events this burst represents per request (e.g. a
         cache-miss path that naps on the backend wakes the thread
         again); it multiplies with the batch factor.
         """
+        if instructions < 0:
+            raise ValueError("instructions must be non-negative")
         kf = self.chars.kernel_frac if kernel_frac is None else kernel_frac
-        seconds = self.server.service_seconds(instructions) * self.batch
-        return self.scheduler.execute(
-            seconds * (1.0 - kf),
-            seconds * kf,
-            dispatches=self.batch * dispatches_per_request,
+        seconds = instructions / self.server.per_logical_ips * self.batch
+        return seconds * (1.0 - kf), seconds * kf, self.batch * dispatches_per_request
+
+    def burst(
+        self,
+        instructions: float,
+        kernel_frac: Optional[float] = None,
+        dispatches_per_request: int = 1,
+    ):
+        """One CPU burst (arguments as :meth:`burst_args`): the scheduler's
+        ``execute`` generator, for the caller to ``yield from``."""
+        # Unpacked, not starred: the star call is slower, on every burst.
+        user, kernel, dispatches = self.burst_args(
+            instructions, kernel_frac, dispatches_per_request
         )
+        return self.scheduler.execute(user, kernel, dispatches)
 
     def wait_online(self) -> Generator:
         """Hold background work (an LLM engine step, an LSM compaction)

@@ -127,3 +127,17 @@ def test_compaction_waits_out_a_crash_restart():
     report = run_point(point)
     assert report.hook_sections["resilience"]["scenario"] == "blackout"
     assert report.metric_value > 0
+
+
+def test_feedsim_survives_a_leaf_failing_after_its_deadline():
+    """Under blackout on SKU4 with a 1.5 s window, the resilience
+    deadline abandons a request waiting on its leaf join, and a later
+    leaf burst fails on the downed server: the abandoned join drops
+    that failure and the run completes."""
+    point = RunPoint(
+        benchmark="feedsim", sku="SKU4", measure_seconds=1.5,
+        faults="blackout",
+    )
+    report = run_point(point)
+    assert report.hook_sections["resilience"]["scenario"] == "blackout"
+    assert report.metric_value > 0

@@ -14,6 +14,7 @@ from repro.llm.engine import (
     Sequence,
     expected_turn_instructions,
 )
+from repro.oskernel.scheduler import CpuScheduler
 from repro.sim.engine import Event
 from repro.workloads.base import RunConfig
 from repro.workloads.profiles import BENCHMARK_PROFILES
@@ -350,7 +351,7 @@ def _drive(replica_cls, params, arrivals):
         on_first_token=lambda seq, s: ttft.append((seq.seq_id, s)),
         on_token=lambda gap, count: itl_calls.append((env.now, gap, count)),
     )
-    step = harness.server.service_seconds(params.decode_step_instructions(1))
+    step = params.decode_step_instructions(1) / harness.server.per_logical_ips
     seqs = []
 
     def submitter():
@@ -429,3 +430,53 @@ class TestBatchedDecodeMatchesPerToken:
             totals["overflow"] += replica.kv.overflow_tokens
             totals["after_completion"] += replica.growth_after_completion
         assert all(totals.values()), totals
+
+
+class TestDecodeBurstTable:
+    """Decode steps replay bursts the replica tabulated per resident
+    count, instead of building each one through ``harness.burst``."""
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_decode_bursts_reach_execute_with_per_step_floats(
+        self, seed, monkeypatch
+    ):
+        params, arrivals = _random_mix(seed)
+        replicas, in_burst, decode_calls = [], [], []
+        real_execute = CpuScheduler.execute
+        real_burst = BenchmarkHarness.burst
+
+        def burst(self, *args, **kwargs):
+            # Prefill goes through harness.burst; decode does not.
+            in_burst.append(True)
+            try:
+                return real_burst(self, *args, **kwargs)
+            finally:
+                in_burst.pop()
+
+        def execute(self, user, kernel=0.0, dispatches=1):
+            if not in_burst:
+                residents = len(replicas[0].active)
+                decode_calls.append((residents, (user, kernel, dispatches)))
+            return real_execute(self, user, kernel, dispatches)
+
+        class RecordedReplica(LlmReplica):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                replicas.append(self)
+
+        monkeypatch.setattr(CpuScheduler, "execute", execute)
+        monkeypatch.setattr(BenchmarkHarness, "burst", burst)
+        replica = _drive(RecordedReplica, params, arrivals)["replica"]
+        assert replica.stats.preemptions > 0
+        assert len(decode_calls) == replica.stats.steps
+        assert len({residents for residents, _ in decode_calls}) > 1
+        # The per-step path this table replaced, written out.
+        harness = replica.harness
+        kf = harness.chars.kernel_frac
+        for residents, args in decode_calls:
+            seconds = (
+                params.decode_step_instructions(residents)
+                / harness.server.per_logical_ips
+                * harness.batch
+            )
+            assert args == (seconds * (1.0 - kf), seconds * kf, harness.batch)

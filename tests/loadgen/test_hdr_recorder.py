@@ -8,6 +8,27 @@ import pytest
 from repro.loadgen.recorder import BucketedHistogram, LatencyRecorder
 
 
+def reference_index(units, precision_bits):
+    """The log-linear bucket of a microsecond count, written out here so
+    the tests check ``record``'s mapping against an independent copy:
+    values under ``2**bits`` map 1:1, and magnitude ``k`` above that
+    lands at ``k * 2**bits + (units >> k)``."""
+    sub = 1 << precision_bits
+    if units < sub:
+        return units
+    shift = units.bit_length() - precision_bits - 1
+    return shift * sub + (units >> shift)
+
+
+def recorded_index(h, units):
+    """The bucket ``record`` puts ``units`` microseconds in."""
+    h.clear()
+    h.record(units / 1e6)
+    assert h.max() * 1e6 == pytest.approx(units)
+    (index,) = h._counts
+    return index
+
+
 class TestBucketMapping:
     def test_small_values_are_exact(self):
         """Values under 2**precision_bits microseconds get one bucket
@@ -20,7 +41,8 @@ class TestBucketMapping:
 
     def test_index_is_monotone_and_contiguous(self):
         h = BucketedHistogram(precision_bits=4)
-        indices = [h._index(u) for u in range(0, 5000)]
+        indices = [recorded_index(h, u) for u in range(0, 5000)]
+        assert indices == [reference_index(u, 4) for u in range(0, 5000)]
         assert indices == sorted(indices)
         # No gaps: every index between first and last is hit.
         assert set(indices) == set(range(indices[-1] + 1))
@@ -28,7 +50,8 @@ class TestBucketMapping:
     def test_bucket_bounds_cover_their_values(self):
         h = BucketedHistogram(precision_bits=4)
         for units in (3, 17, 100, 1023, 4096, 123_456):
-            index = h._index(units)
+            index = recorded_index(h, units)
+            assert index == reference_index(units, 4)
             assert h._bucket_high_units(index) >= units
             mid = h._bucket_mid_seconds(index) * 1e6
             assert mid <= h._bucket_high_units(index)
@@ -299,3 +322,12 @@ class TestCountedRecord:
         with pytest.raises(ValueError, match="count"):
             recorder.record(0.001, count=0)
         assert len(recorder) == 0
+
+    def test_histogram_validates_count(self):
+        """The histogram checks ``count`` itself: the LLM engine records
+        inter-token gaps straight into one, with no recorder between."""
+        h = BucketedHistogram()
+        for count in (0, -2):
+            with pytest.raises(ValueError, match="count"):
+                h.record(0.001, count)
+        assert h.total == 0 and h.bucket_count == 0

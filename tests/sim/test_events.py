@@ -3,8 +3,39 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, Interrupt
 from repro.sim.events import all_of, any_of
+
+
+def _abandon_then_fail(env, combinator, waiters=1):
+    """A deadline interrupts the first of ``waiters`` processes waiting
+    on one combinator at t=0.5; an input process raises at t=2.0.
+    Returns what each waiter saw."""
+
+    def doomed():
+        yield env.timeout(2.0)
+        raise RuntimeError("late input")
+
+    joined = combinator(env, [env.process(doomed()), env.timeout(5.0)])
+    log = []
+
+    def waiter(name):
+        try:
+            yield joined
+        except Interrupt:
+            log.append((name, "interrupted", env.now))
+        except RuntimeError as exc:
+            log.append((name, str(exc), env.now))
+
+    procs = [env.process(waiter(name)) for name in "ab"[:waiters]]
+
+    def deadline():
+        yield env.timeout(0.5)
+        procs[0].interrupt()
+
+    env.process(deadline())
+    env.run()
+    return log
 
 
 class TestAllOf:
@@ -54,6 +85,18 @@ class TestAllOf:
         bad.fail(RuntimeError("leaf died"))
         env.run()
         assert caught == [(0.0, "leaf died")]
+
+    def test_abandoned_join_drops_a_later_failure(self, env):
+        """Nobody waits on the join any more when its input fails, so
+        the failure goes nowhere and the run completes, instead of the
+        run loop raising it as an orphan."""
+        log = _abandon_then_fail(env, all_of)
+        assert log == [("a", "interrupted", 0.5)]
+        assert env.now == 5.0
+
+    def test_remaining_waiter_still_gets_the_failure(self, env):
+        log = _abandon_then_fail(env, all_of, waiters=2)
+        assert log == [("a", "interrupted", 0.5), ("b", "late input", 2.0)]
 
     @given(delays=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=15))
     @settings(max_examples=40, deadline=None)
@@ -164,6 +207,15 @@ class TestAnyOf:
         env.run()
         assert race.value == (1, "deadline")
         assert not proc.ok and env.now == 2.0
+
+    def test_abandoned_race_drops_a_later_failure(self, env):
+        log = _abandon_then_fail(env, any_of)
+        assert log == [("a", "interrupted", 0.5)]
+        assert env.now == 5.0
+
+    def test_remaining_waiter_still_gets_the_failure(self, env):
+        log = _abandon_then_fail(env, any_of, waiters=2)
+        assert log == [("a", "interrupted", 0.5), ("b", "late input", 2.0)]
 
     def test_timer_raced_in_turn_keeps_later_callback(self, env):
         """The hedge path: a deadline raced by one ``any_of`` and then,

@@ -5,6 +5,7 @@ import pytest
 from repro.oskernel.kernel import KERNEL_6_9
 from repro.hw.sku import get_sku
 from repro.loadgen.generators import Request
+from repro.oskernel.scheduler import CpuScheduler
 from repro.workloads.base import RunConfig
 from repro.workloads.profiles import BENCHMARK_PROFILES
 from repro.workloads.runner import (
@@ -29,10 +30,13 @@ class TestServerModel:
         )
 
     def test_service_seconds(self, chars):
-        model = ServerModel(get_sku("SKU2"), KERNEL_6_9, chars)
-        assert model.service_seconds(model.per_logical_ips) == pytest.approx(1.0)
+        """The model's per-core rate sets a burst's core-seconds."""
+        harness = BenchmarkHarness(RunConfig(sku_name="SKU2"), chars)
+        ips = harness.server.per_logical_ips
+        user, kernel, _ = harness.burst_args(ips, kernel_frac=0.0)
+        assert (user, kernel) == (pytest.approx(1.0), 0.0)
         with pytest.raises(ValueError):
-            model.service_seconds(-1.0)
+            harness.burst_args(-1.0)
 
     def test_capacity_rps(self, chars):
         model = ServerModel(get_sku("SKU2"), KERNEL_6_9, chars)
@@ -152,8 +156,8 @@ class TestInstanceSet:
         serial_1 = InstanceSet(h1).serial_seconds(1e6)
         serial_4 = InstanceSet(h4).serial_seconds(1e6)
         assert serial_4 / serial_1 < 1.4  # only the frequency ratio
-        parallel_1 = h1.server.service_seconds(1e6)
-        parallel_4 = h4.server.service_seconds(1e6)
+        parallel_1 = h1.burst_args(1e6, kernel_frac=0.0)[0]
+        parallel_4 = h4.burst_args(1e6, kernel_frac=0.0)[0]
         assert parallel_1 / parallel_4 > serial_1 / serial_4
 
 
@@ -183,3 +187,35 @@ class TestBenchmarkHarness:
         harness.run_open_loop(handler, offered_rps=50.0)
         stats = harness.scheduler.stats
         assert stats.kernel_seconds > 0
+
+    @pytest.mark.parametrize(
+        "batch,args",
+        [(1, (3e8,)), (4, (2.5e7, 0.3)), (16, (1e6, None, 3)), (2, (0.0,))],
+    )
+    def test_burst_hands_execute_its_burst_args(
+        self, chars, monkeypatch, batch, args
+    ):
+        """``burst`` passes ``execute`` exactly ``burst_args``' split:
+        ``instructions / per_logical_ips * batch``, cut by the kernel
+        fraction, with ``batch * dispatches_per_request`` dispatches."""
+        harness = BenchmarkHarness(
+            RunConfig(sku_name="SKU2"), chars, batch=batch
+        )
+        seen = []
+        monkeypatch.setattr(
+            CpuScheduler, "execute", lambda self, *a, **kw: seen.append((a, kw))
+        )
+        harness.burst(*args)
+        instructions = args[0]
+        kf = chars.kernel_frac if len(args) < 2 or args[1] is None else args[1]
+        per_request = args[2] if len(args) > 2 else 1
+        seconds = instructions / harness.server.per_logical_ips * batch
+        expected = (seconds * (1.0 - kf), seconds * kf, batch * per_request)
+        assert seen == [(expected, {})]
+        assert harness.burst_args(*args) == expected
+
+    def test_negative_instructions_rejected(self, chars):
+        harness = BenchmarkHarness(RunConfig(sku_name="SKU2"), chars)
+        for call in (harness.burst_args, harness.burst):
+            with pytest.raises(ValueError, match="non-negative"):
+                call(-1.0)

@@ -120,6 +120,25 @@ class TestFeedsimSearchMemo:
         run_point(_point(seed=12, benchmark="feedsim"))
         assert feedsim._registry_operating_point.cache_info().currsize == 2
 
+    def test_run_reports_a_copy_of_the_operating_point_probe(self):
+        """The search already ran the operating rate on a fresh harness
+        with this config, so ``run`` reports that probe plus its slo_*
+        extras, and leaves the memoized probe untouched."""
+        feedsim._registry_operating_point.cache_clear()
+        config = RunConfig(sku_name="SKU2", measure_seconds=0.3)
+        workload = feedsim.FeedSim()
+        rps, slo_met, _, _, probed = workload._operating_point(config)
+        assert slo_met and probed is not None
+        fresh = workload._measure(config, rps).as_dict()
+        assert probed.as_dict() == fresh
+        reported = workload.run(config).as_dict()
+        assert probed.as_dict() == fresh
+        slo_keys = {k for k in reported["extra"] if k.startswith("slo_")}
+        assert slo_keys and not slo_keys & set(fresh["extra"])
+        for key in slo_keys:
+            del reported["extra"][key]
+        assert reported == fresh
+
     def test_custom_characteristics_bypass_the_memo(self):
         """Only module-persistent registry profiles are safe memo keys;
         a caller-built profile object must never populate the memo."""

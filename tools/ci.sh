@@ -379,15 +379,20 @@ print("shard smoke ok: shards=1 identical to in-proc runner, shards=2 "
 EOF
 
 # The tests call main() in-process; this step runs the dcperf entry
-# point as a process.  Each command must exit 0.
-echo "== CLI smoke (run, sharded run, suite under blackout, cache info) =="
+# point as a process.  Each command must exit 0.  The SKU4 blackout suite
+# runs the default window, where a feedsim leaf fails after its request
+# was abandoned (an abandoned join must drop that failure).
+echo "== CLI smoke (run, sharded run, suites under blackout, cache info) =="
 python -m repro.core.cli run -b taobench --measure-seconds 0.3 > /dev/null
 python -m repro.core.cli run -b taobench --shards 2 --measure-seconds 0.3 \
     > /dev/null
 python -m repro.core.cli suite --faults blackout --measure-seconds 0.3 \
     > /dev/null
+python -m repro.core.cli suite --sku SKU4 --faults blackout --no-cache \
+    > /dev/null
 python -m repro.core.cli cache info > /dev/null
-echo "CLI smoke ok: run, run --shards 2, suite --faults blackout, cache info"
+echo "CLI smoke ok: run, run --shards 2, suite --faults blackout (0.3 s" \
+    "window; SKU4 at the default window), cache info"
 
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
