@@ -230,7 +230,9 @@ class ServiceClient:
             try:
                 yield from self._attempt(work)
             except FaultError as exc:
-                last_error = exc
+                # Kept without its traceback: those frames name this one
+                # and the attempt's processes, a cycle for the collector.
+                last_error = exc.with_traceback(None)
                 self.breaker.record_failure()
                 self._classify(exc)
             else:

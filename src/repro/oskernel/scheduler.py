@@ -13,7 +13,7 @@ Statistics are accumulated for the utilization and kernel-time figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.errors import ServerUnavailableError
 from repro.oskernel.kernel import KernelVersion
@@ -54,7 +54,6 @@ class SchedulerStats:
         return min(1.0, kernel_time / (elapsed * logical_cores))
 
 
-@dataclass
 class CpuScheduler:
     """A pool of logical cores with per-dispatch kernel overhead.
 
@@ -68,50 +67,50 @@ class CpuScheduler:
     SLO-bound workloads like FeedSim peak at 50-70% CPU (Figure 9).
     """
 
-    env: Environment
-    logical_cores: int
-    freq_ghz: float
-    kernel: KernelVersion
-    single_thread_speedup: float = 1.0
-    stats: SchedulerStats = field(default_factory=SchedulerStats)
-    #: Multiplier the fault injector applies to every burst (>= 1.0);
-    #: 1.0 means no active CPU-channel fault.
-    fault_slowdown: float = 1.0
-    #: Speedup the SLO control plane's brownout responder publishes
-    #: (>= 1.0): degraded serving / replica scale-out makes every
-    #: request cheaper.  1.0 means full-quality serving.
-    relief_speedup: float = 1.0
-    #: True while a simulated crash/restart is in progress: new
-    #: dispatches are refused, in-flight bursts drain.
-    offline: bool = False
-
-    def __post_init__(self) -> None:
-        if self.logical_cores < 1:
+    def __init__(
+        self,
+        env: Environment,
+        logical_cores: int,
+        freq_ghz: float,
+        kernel: KernelVersion,
+        single_thread_speedup: float = 1.0,
+    ) -> None:
+        if logical_cores < 1:
             raise ValueError("logical_cores must be >= 1")
-        if self.freq_ghz <= 0:
-            raise ValueError("freq_ghz must be positive")
-        if self.single_thread_speedup < 1.0:
+        if single_thread_speedup < 1.0:
             raise ValueError("single_thread_speedup must be >= 1.0")
-        self.cores = Resource(self.env, capacity=self.logical_cores)
-        self.stats.window_start = self.env.now
+        self.env = env
+        self.logical_cores = logical_cores
+        self.kernel = kernel
+        self.stats = SchedulerStats(window_start=env.now)
+        #: Multiplier the fault injector applies to every burst (>= 1.0);
+        #: 1.0 means no active CPU-channel fault.
+        self.fault_slowdown = 1.0
+        #: Speedup the SLO control plane's brownout responder publishes
+        #: (>= 1.0): degraded serving / replica scale-out makes every
+        #: request cheaper.  1.0 means full-quality serving.
+        self.relief_speedup = 1.0
+        #: True while a simulated crash/restart is in progress: new
+        #: dispatches are refused, in-flight bursts drain.
+        self.offline = False
+        self.cores = Resource(env, capacity=logical_cores)
         # Per-dispatch overhead is invariant in (kernel, logical_cores)
-        # and linear in 1/freq; precompute the pieces once instead of
-        # re-asking the kernel model on every burst.  The occupancy
-        # speedup is a pure function of the busy-core count, so the
-        # whole curve is a table indexed by ``cores.count`` — built
-        # with the exact per-count arithmetic of the former method, so
-        # table lookups are bit-identical to on-the-fly evaluation.
-        self._overhead_base = self.kernel.context_switch_us * 1e-6
-        self._overhead_cycles = self.kernel.loadavg_cost_cycles(self.logical_cores)
-        self._overhead_freq = 0.0
-        self._overhead_cached = 0.0
-        speedup = self.single_thread_speedup
+        # and linear in 1/freq: the pieces are computed once, and the
+        # ``freq_ghz`` setter prices ``dispatch_overhead_seconds`` from
+        # them.  The occupancy speedup is a pure function of the
+        # busy-core count, so the whole curve is a table indexed by
+        # ``cores.count``, each entry computed by the per-count
+        # arithmetic, bit for bit.
+        self._overhead_base = kernel.context_switch_us * 1e-6
+        self._overhead_cycles = kernel.loadavg_cost_cycles(logical_cores)
+        self.freq_ghz = freq_ghz
+        speedup = single_thread_speedup
         table = []
-        for count in range(self.logical_cores + 1):
+        for count in range(logical_cores + 1):
             if speedup <= 1.0:
                 table.append(1.0)
                 continue
-            occupancy = count / self.logical_cores
+            occupancy = count / logical_cores
             if occupancy <= 0.5:
                 table.append(speedup)
             else:
@@ -120,21 +119,20 @@ class CpuScheduler:
         self._speedup_by_count = table
 
     @property
-    def dispatch_overhead_seconds(self) -> float:
-        """Kernel cost charged per dispatch (switch + load-avg update).
+    def freq_ghz(self) -> float:
+        """Core frequency; the fault injector throttles and restores it."""
+        return self._freq_ghz
 
-        Cached keyed on the current frequency: the fault injector
-        mutates ``freq_ghz`` at runtime (throttle faults), so the cache
-        re-validates by comparing the stored frequency on every access
-        and recomputes only when it actually changed.
-        """
-        freq = self.freq_ghz
-        if freq != self._overhead_freq:
-            self._overhead_freq = freq
-            self._overhead_cached = (
-                self._overhead_base + self._overhead_cycles / (freq * 1e9)
-            )
-        return self._overhead_cached
+    @freq_ghz.setter
+    def freq_ghz(self, freq: float) -> None:
+        if freq <= 0:
+            raise ValueError("freq_ghz must be positive")
+        self._freq_ghz = freq
+        #: Kernel cost charged per dispatch (switch + load-avg update),
+        #: repriced only here, when the frequency changes.
+        self.dispatch_overhead_seconds = (
+            self._overhead_base + self._overhead_cycles / (freq * 1e9)
+        )
 
     def execute(
         self,
@@ -151,14 +149,17 @@ class CpuScheduler:
         batched simulation (one simulated burst standing for N
         production-side dispatches).
 
-        A free core is taken inline (:meth:`Resource.claim`) when nobody
-        waits for a core and the grant would be the next event the run
-        loop processes anyway: the at-now deque is empty, the heap head
-        is strictly later than now, ``stop()`` has not been called, now
-        is strictly before the run's ``until`` bound, and the loop is not
-        fanning one event out to several callbacks.  Otherwise the burst
-        requests a core and yields until it is granted.  Both paths give
-        the same event order, RNG draws and floats.
+        A free core is claimed inline, with no request event, when
+        nobody waits for a core and the grant would be the next event
+        the run loop processes anyway
+        (:meth:`~repro.sim.engine.Environment._grant_is_next`): the
+        at-now deque is empty, the heap head is strictly later than now,
+        ``stop()`` has not been called, now is strictly before the run's
+        ``until`` bound, and the loop is not fanning one event out to
+        several callbacks.  The claim consumes the grant's sequence
+        number.  Otherwise the burst requests a core and yields until it
+        is granted.  Both paths give the same event order, RNG draws and
+        floats.
         """
         if not (user_seconds >= 0 and kernel_seconds >= 0):
             # Also rejects NaN, before a core is claimed or stats move.
@@ -169,8 +170,18 @@ class CpuScheduler:
             raise ServerUnavailableError(
                 "server is down (simulated crash/restart in progress)"
             )
+        env = self.env
         cores = self.cores
-        if not cores.claim():
+        if (
+            not cores._waiters
+            and cores._in_use < cores.capacity
+            and env._grant_is_next()
+        ):
+            # Take the core, and the sequence number its queued grant
+            # event would have taken.
+            cores._in_use += 1
+            env._seq += 1
+        else:
             request = cores.request()
             try:
                 yield request
@@ -191,12 +202,13 @@ class CpuScheduler:
         if self.relief_speedup != 1.0:
             duration /= self.relief_speedup
         try:
-            yield self.env.sleep(duration)
+            yield env.sleep(duration)
         finally:
             # The core is held either way: claimed, or granted to the
             # request.
             cores.release_claim()
-            self.stats.busy_seconds += duration
-            self.stats.kernel_seconds += kernel_seconds
-            self.stats.overhead_seconds += overhead
-            self.stats.dispatch_count += dispatches
+            stats = self.stats
+            stats.busy_seconds += duration
+            stats.kernel_seconds += kernel_seconds
+            stats.overhead_seconds += overhead
+            stats.dispatch_count += dispatches

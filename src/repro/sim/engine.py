@@ -9,24 +9,25 @@ of the same model produce identical traces.
 The hot path is deliberately allocation-lean:
 
 * :meth:`Environment.run` is a single tight loop with the queues, the
-  heap primitives, and the freelists bound to locals — there is no
+  heap primitives, and the resume freelist bound to locals — there is no
   per-event ``step()`` call, no sentinel event, and no exception-based
   control flow for bounded runs.
 * Scheduling is split across two structures merged by global
-  ``(time, seq)`` order: future-dated timeouts go through the binary
-  heap, while entries scheduled at the current time (process resumes,
-  completions, ``succeed``/``fail``) ride a plain deque that is sorted
-  by construction — O(1) instead of O(log n) for the majority of
-  steady-state traffic.
+  ``(time, seq)`` order: future-dated timeouts and sleeping processes
+  go through the binary heap, while entries scheduled at the current
+  time (process resumes, completions, ``succeed``/``fail``) ride a
+  plain deque that is sorted by construction — O(1) instead of
+  O(log n) for the majority of steady-state traffic.
 * :class:`Process` resumes its generator with a direct ``send``/
   ``throw`` dispatch; the engine never allocates a closure per step.
-* Immediate resumes (:class:`_Resume`) and fire-and-forget timeouts
-  (:meth:`Environment.sleep`) are recycled through per-environment
-  freelists, so a steady-state request loop allocates approximately
-  zero event objects per request.
+* Immediate resumes (:class:`_Resume`) are recycled through a
+  per-environment freelist, and a sleep (:meth:`Environment.sleep`)
+  is no event at all: the sleeping process is its own heap entry, so
+  a steady-state request loop allocates approximately zero event
+  objects per request.
 * A resource grant that :meth:`run` would process next anyway (a free
-  CPU core, :meth:`repro.sim.resources.Resource.claim`) is taken
-  inline, with no event, queue entry or resume
+  CPU core, which :meth:`repro.oskernel.scheduler.CpuScheduler.execute`
+  claims itself) is taken inline, with no event, queue entry or resume
   (:meth:`Environment._grant_is_next`).  That holds only while
   ``run`` is active, the at-now deque is empty, the heap head is
   strictly later than ``now``, ``stop()`` has not been called, ``now``
@@ -148,6 +149,11 @@ class _Resume:
         return self._value
 
 
+#: The outcome a woken sleeper resumes with: ok, value ``None``.
+_WOKEN = _Resume.__new__(_Resume)
+_WOKEN.callbacks, _WOKEN._ok, _WOKEN._value = None, True, None
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
@@ -165,16 +171,16 @@ class Timeout(Event):
         env._seq += 1
 
 
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` recycled through the environment's freelist.
+class _Sleep:
+    """The marker :meth:`Environment.sleep` returns for a process to yield.
 
-    Created only by :meth:`Environment.sleep`.  After its callbacks run
-    the engine reclaims the object, so callers must not retain a
-    reference past the resume — which is exactly the fire-and-forget
-    ``yield env.sleep(delay)`` pattern of the hot paths.
+    Each environment owns one; ``sleep`` stores the delay on it and the
+    yielding process's :meth:`Process._resume` pushes the process itself
+    onto the heap.  Nothing runs between ``sleep`` returning and that
+    yield, so one marker serves every sleep.
     """
 
-    __slots__ = ()
+    __slots__ = ("delay",)
 
 
 class Interrupt(Exception):
@@ -190,7 +196,7 @@ class Process(Event):
     the generator finishes (its value is the generator's return value).
     """
 
-    __slots__ = ("_generator", "_target", "_resume_fn")
+    __slots__ = ("_generator", "_target", "_resume_fn", "_wake")
 
     def __init__(self, env: "Environment", generator: Generator) -> None:
         if not hasattr(generator, "send"):
@@ -202,8 +208,12 @@ class Process(Event):
         self._generator = generator
         #: The event this process is currently subscribed to (its
         #: ``_resume`` sits in that event's callback list), or ``None``
-        #: while the process is running or scheduled to resume.
+        #: while the process is running, sleeping or scheduled to resume.
         self._target: Optional[Event] = None
+        #: The sequence number of this process's own heap entry while it
+        #: sleeps, else -1.  An entry whose number differs is a sleep that
+        #: an interrupt cut short; the run loop skips it.
+        self._wake = -1
         #: ``self._resume`` bound once: every attribute access on a
         #: method allocates a fresh bound-method object, and the resume
         #: callback is subscribed/unsubscribed several times per request.
@@ -218,16 +228,18 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Works whether the process is waiting on an event or already
-        scheduled to resume: the pending resumption is unsubscribed
-        first (list discipline — the callback must be present, so the
-        removal is strict), and the interrupt is delivered through the
-        queue at the current time.  Multiple interrupts queue up and are
-        all delivered in order; one landing after the process finished
-        is dropped.
+        Works whether the process is waiting on an event, sleeping or
+        already scheduled to resume: the pending resumption is
+        unsubscribed first (list discipline — the callback must be
+        present, so the removal is strict) or the sleep's heap entry
+        disowned, and the interrupt is delivered through the queue at
+        the current time.  Multiple interrupts queue up and are all
+        delivered in order; one landing after the process finished is
+        dropped.
         """
         if self._value is not PENDING:
             raise SimulationError("cannot interrupt a finished process")
+        self._wake = -1
         target = self._target
         if target is not None:
             callbacks = target.callbacks
@@ -245,11 +257,12 @@ class Process(Event):
             # Finished between scheduling and delivery (e.g. a first
             # interrupt made it return): nothing to interrupt.
             return
+        # A prior interrupt already resumed the process and it sleeps or
+        # waits on a new target: disown the sleep, or unsubscribe, so
+        # neither can resume it a second time.
+        self._wake = -1
         target = self._target
         if target is not None:
-            # A prior interrupt already resumed the process and it is
-            # waiting on a new target: unsubscribe so the event cannot
-            # resume it a second time.
             callbacks = target.callbacks
             if callbacks is not None:
                 callbacks.remove(self._resume_fn)
@@ -263,7 +276,10 @@ class Process(Event):
 
         Direct ``send``/``throw`` dispatch: no per-step closure, no
         intermediate ``_step`` frame.  This is the single hottest
-        function in the simulator.
+        function in the simulator.  A yielded sleep marker is tested
+        first: the process pushes itself onto the heap, taking the
+        sequence number a ``timeout`` created at the same moment would
+        take.
 
         Each of the three ways the generator can end (return, unhandled
         :class:`Interrupt`, exception) drops the cached bound
@@ -310,6 +326,11 @@ class Process(Event):
             env._fifo.append((env.now, env._seq, self))
             env._seq += 1
             return
+        if target is env._sleep:
+            seq = self._wake = env._seq
+            heappush(env._queue, (env.now + target.delay, seq, self))
+            env._seq = seq + 1
+            return
         try:
             callbacks = target.callbacks
         except AttributeError:
@@ -332,7 +353,7 @@ class Process(Event):
 class Environment:
     """The simulation environment: clock plus event queue."""
 
-    #: Freelists never grow past this many parked objects.
+    #: The resume freelist never grows past this many parked entries.
     _POOL_LIMIT = 512
 
     def __init__(self, initial_time: float = 0.0) -> None:
@@ -341,13 +362,14 @@ class Environment:
         #: workload, and the descriptor indirection was measurable.
         #: Treat it as read-only outside the engine.
         self.now = float(initial_time)
-        #: Future-dated entries (timeouts) live in a binary heap; entries
-        #: scheduled *at the current time* (process resumes, completions,
-        #: ``succeed``/``fail``) go to a plain deque instead.  Appends at
-        #: ``now`` are monotone in ``(time, seq)``, so the deque is always
-        #: sorted and the run loop merges the two by global ``(time, seq)``
-        #: order — identical total order to a single heap, but the
-        #: majority of steady-state traffic pays O(1) instead of O(log n).
+        #: Future-dated entries (timeouts, sleeping processes) live in a
+        #: binary heap; entries scheduled *at the current time* (process
+        #: resumes, completions, ``succeed``/``fail``) go to a plain
+        #: deque instead.  Appends at ``now`` are monotone in
+        #: ``(time, seq)``, so the deque is always sorted and the run
+        #: loop merges the two by global ``(time, seq)`` order —
+        #: identical total order to a single heap, but the majority of
+        #: steady-state traffic pays O(1) instead of O(log n).
         self._queue: List[Tuple[float, int, Event]] = []
         self._fifo: "deque[Tuple[float, int, Event]]" = deque()
         self._seq = 0
@@ -358,7 +380,7 @@ class Environment:
         self._until = float("-inf")
         self._fanout = False
         self._resume_pool: List[_Resume] = []
-        self._timeout_pool: List[_PooledTimeout] = []
+        self._sleep = _Sleep()
 
     def event(self) -> Event:
         """Create a new pending event."""
@@ -368,31 +390,19 @@ class Environment:
         """Create an event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def sleep(self, delay: float) -> Timeout:
-        """A fire-and-forget timeout drawn from the freelist.
+    def sleep(self, delay: float) -> _Sleep:
+        """A fire-and-forget delay: ``yield env.sleep(d)``.
 
-        Semantically ``timeout(delay)`` with no value, but the returned
-        object is recycled as soon as its callbacks have run — callers
-        must ``yield`` it immediately and never retain a reference
-        (``yield env.sleep(d)``).  Steady-state loops built on ``sleep``
-        allocate no event objects at all.
+        Semantically ``yield env.timeout(delay)`` with no value, but no
+        event exists: the returned marker makes the yielding process
+        push itself onto the heap.  Callers must ``yield`` it at once
+        and never keep it, wait on it or hand it to anything else.
         """
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative or NaN timeout delay: {delay}")
-        pool = self._timeout_pool
-        if pool:
-            entry = pool.pop()
-            entry.delay = delay
-        else:
-            entry = _PooledTimeout.__new__(_PooledTimeout)
-            entry.env = self
-            entry.callbacks = []
-            entry._value = None
-            entry._ok = True
-            entry.delay = delay
-        heappush(self._queue, (self.now + delay, self._seq, entry))
-        self._seq += 1
-        return entry
+        marker = self._sleep
+        marker.delay = delay
+        return marker
 
     def process(self, generator: Generator) -> Process:
         """Start a new process from a generator."""
@@ -456,7 +466,15 @@ class Environment:
         if fifo and (not queue or fifo[0] < queue[0]):
             when, _, event = fifo.popleft()
         elif queue:
-            when, _, event = heappop(queue)
+            when, seq, event = heappop(queue)
+            if event.__class__ is Process:
+                # A sleeper's own entry: wake it, unless an interrupt
+                # disowned this sleep.
+                self.now = when
+                if seq == event._wake:
+                    event._wake = -1
+                    event._resume(_WOKEN)
+                return
         else:
             raise SimulationError("no scheduled events")
         self.now = when
@@ -468,10 +486,6 @@ class Environment:
             event.callbacks = []
             if len(self._resume_pool) < self._POOL_LIMIT:
                 self._resume_pool.append(event)
-        elif type(event) is _PooledTimeout:
-            event.callbacks = []
-            if len(self._timeout_pool) < self._POOL_LIMIT:
-                self._timeout_pool.append(event)
         elif not event._ok and not callbacks:
             # A failed event nobody waited on: surface the error.
             raise event._value
@@ -505,8 +519,9 @@ class Environment:
         popleft = fifo.popleft
         pop = heappop
         resume_pool = self._resume_pool
-        timeout_pool = self._timeout_pool
         pool_limit = self._POOL_LIMIT
+        process_cls = Process
+        woken = _WOKEN
         try:
             while True:
                 # Two-way merge: the deque holds at-``now`` entries (always
@@ -538,9 +553,15 @@ class Environment:
                 self.now = when
                 cls = event.__class__
                 # Nearly every event has zero or one subscriber; the
-                # single-callback path below skips the list-iterator
+                # single-callback paths below skip the list-iterator
                 # allocation a for-loop would make per event.
-                if cls is _Resume:
+                if cls is process_cls and from_heap:
+                    # A sleeper's own entry: wake it, unless an
+                    # interrupt disowned this sleep.
+                    if entry[1] == event._wake:
+                        event._wake = -1
+                        event._resume(woken)
+                elif cls is _Resume:
                     # Pooled entries cannot gain subscribers while their
                     # callbacks run (nothing outside the engine holds
                     # one), so skip the processed-marker round-trip and
@@ -558,19 +579,6 @@ class Environment:
                     event._value = None
                     if len(resume_pool) < pool_limit:
                         resume_pool.append(event)
-                elif cls is _PooledTimeout:
-                    callbacks = event.callbacks
-                    if len(callbacks) == 1:
-                        callbacks[0](event)
-                        callbacks.clear()
-                    elif callbacks:
-                        self._fanout = True
-                        for callback in callbacks:
-                            callback(event)
-                        self._fanout = False
-                        callbacks.clear()
-                    if len(timeout_pool) < pool_limit:
-                        timeout_pool.append(event)
                 else:
                     callbacks = event.callbacks
                     event.callbacks = None

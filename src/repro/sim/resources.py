@@ -6,6 +6,12 @@ slots.  The other structures workload models need live next to their
 users: request queues between thread pools are
 :class:`~repro.workloads.runner.ThreadPool` docks, and busy time is
 :class:`~repro.oskernel.scheduler.SchedulerStats`.
+
+A slot is taken with :meth:`Resource.request`, except on the hottest
+path: :meth:`~repro.oskernel.scheduler.CpuScheduler.execute` claims a
+free core itself, with no request event, when the engine would process
+the grant next anyway, and hands it back with
+:meth:`Resource.release_claim`.
 """
 
 from __future__ import annotations
@@ -71,26 +77,6 @@ class Resource:
         """Claim a slot; the returned event fires once granted."""
         return ResourceRequest(self)
 
-    def claim(self) -> bool:
-        """Take a free slot without a request event, if nobody waits and
-        the engine would process the grant next anyway.
-
-        The claim consumes the grant's sequence number, so a caller that
-        carries on without yielding replays the queued grant event for
-        event.  On False nothing was taken: use :meth:`request`.  Return
-        a claimed slot with :meth:`release_claim`.
-        """
-        env = self.env
-        if (
-            self._waiters
-            or self._in_use >= self.capacity
-            or not env._grant_is_next()
-        ):
-            return False
-        self._in_use += 1
-        env._seq += 1
-        return True
-
     def release(self, request: ResourceRequest) -> None:
         """Return a previously granted slot."""
         if request.resource is not self:
@@ -105,7 +91,9 @@ class Resource:
         self.release_claim()
 
     def release_claim(self) -> None:
-        """Return a slot taken by :meth:`claim` (or a granted request)."""
+        """Return a held slot: a granted request's, or one its holder
+        claimed inline by taking ``_in_use`` itself, as
+        :meth:`repro.oskernel.scheduler.CpuScheduler.execute` does."""
         self._in_use -= 1
         if self._in_use < 0:
             raise RuntimeError("resource released more times than acquired")

@@ -237,6 +237,7 @@ class AiBench(Workload):
         return handler
 
     def _probe(self, config: RunConfig, offered_rps: float) -> ProbeResult:
+        """One trial at a fixed offered load, on a fresh harness."""
         harness = BenchmarkHarness(config, self._chars)
         handler = self._build_handler(harness)
         result = harness.run_open_loop(handler, offered_rps=offered_rps)
@@ -247,6 +248,7 @@ class AiBench(Workload):
             latency_at_percentile=p99,
             error_rate=0.0,
             cpu_util=result.cpu_util,
+            run=result,
         )
 
     def run(self, config: RunConfig) -> WorkloadResult:
@@ -259,9 +261,10 @@ class AiBench(Workload):
             high_rps=capacity * 1.6 * config.load_scale,
             tolerance=0.05,
         )
-        harness = BenchmarkHarness(config, self._chars)
-        handler = self._build_handler(harness)
-        result = harness.run_open_loop(handler, offered_rps=search.max_rps)
+        # The search probed the operating rate on a fresh harness with
+        # this config: report that run rather than simulate it again.
+        # Nothing else holds it, so it is reported as is, not copied.
+        result = search.probe.run
         probabilities, _ = self.validate_model()
         result.extra["slo_max_rps"] = search.max_rps
         result.extra["slo_p99_seconds"] = search.probe.latency_at_percentile

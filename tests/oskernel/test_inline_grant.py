@@ -55,17 +55,33 @@ def queued(monkeypatch):
 
 @pytest.fixture
 def claims(monkeypatch):
-    """Count ``Resource.claim`` outcomes as ``{True: n, False: m}``."""
-    counts = {True: 0, False: 0}
-    claim = Resource.claim
+    """Count core grants; ``claims()`` reads ``{"inline": n, "queued": m}``.
 
-    def counting(self):
-        taken = claim(self)
-        counts[taken] += 1
-        return taken
+    Every burst either requests a core or claims one inline, so the
+    inline count is the bursts started minus the ``Resource.request``
+    calls: it counts cores taken, however ``execute`` decides to take
+    them.
+    """
+    counts = {"bursts": 0, "requests": 0}
+    execute = CpuScheduler.execute
+    request = Resource.request
 
-    monkeypatch.setattr(Resource, "claim", counting)
-    return counts
+    def counting_execute(self, *args, **kwargs):
+        counts["bursts"] += 1
+        return execute(self, *args, **kwargs)
+
+    def counting_request(self):
+        counts["requests"] += 1
+        return request(self)
+
+    monkeypatch.setattr(CpuScheduler, "execute", counting_execute)
+    monkeypatch.setattr(Resource, "request", counting_request)
+
+    def read():
+        queued = counts["requests"]
+        return {"inline": counts["bursts"] - queued, "queued": queued}
+
+    return read
 
 
 def random_mix(seed):
@@ -173,7 +189,8 @@ def test_random_mix_matches_queued_path(seed, queued):
 def test_random_mixes_take_both_paths(claims):
     for seed in range(40):
         random_mix(seed)
-    assert claims[True] > 0 and claims[False] > 0
+    grants = claims()
+    assert grants["inline"] > 0 and grants["queued"] > 0
 
 
 # One scenario per guard: each fails if that guard alone is dropped.
@@ -204,7 +221,7 @@ def test_guard_at_now_deque_nonempty(queued, claims):
         env.process(burst_then_log(env, sched, log, "b"))
 
     assert run_and_log(build) == queued(lambda: run_and_log(build))
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_guard_heap_head_due_now(queued, claims):
@@ -218,7 +235,7 @@ def test_guard_heap_head_due_now(queued, claims):
         env.process(burst_then_log(env, sched, log, "a"))
 
     assert run_and_log(build) == queued(lambda: run_and_log(build))
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_guard_stop_called(queued, claims):
@@ -231,7 +248,7 @@ def test_guard_stop_called(queued, claims):
 
     runs = (None, None)
     assert run_and_log(build, runs) == queued(lambda: run_and_log(build, runs))
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_guard_burst_at_until(queued, claims):
@@ -249,7 +266,7 @@ def test_guard_burst_at_until(queued, claims):
 
     runs = (1.0, None)
     assert run_and_log(build, runs) == queued(lambda: run_and_log(build, runs))
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_guard_fanout(queued, claims):
@@ -265,7 +282,7 @@ def test_guard_fanout(queued, claims):
         env.process(waiter("b"))
 
     assert run_and_log(build) == queued(lambda: run_and_log(build))
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_guard_busy_core(queued, claims):
@@ -293,7 +310,7 @@ def test_guard_busy_core(queued, claims):
     log, final = build_one_core()
     assert [name for _, name in log] == ["a", "b", "c"]
     assert (log, final) == queued(build_one_core)
-    assert claims[True] == 0
+    assert claims()["inline"] == 0
 
 
 def test_free_core_is_claimed_inline(claims):
@@ -302,7 +319,7 @@ def test_free_core_is_claimed_inline(claims):
     log = []
     env.process(burst_then_log(env, sched, log, "a"))
     env.run()
-    assert claims == {True: 1, False: 0}
+    assert claims() == {"inline": 1, "queued": 0}
     # Bootstrap, the consumed grant number, the sleep, the exit.
     assert env._seq == 4
     assert sched.cores.count == 0

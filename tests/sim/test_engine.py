@@ -58,8 +58,17 @@ class TestTimeout:
 
     def test_infinite_delay_accepted(self, env):
         env.timeout(float("inf"))
-        env.sleep(float("inf"))
-        assert env.peek() == float("inf") and env._seq == 2
+        seqs = []
+
+        def sleeper():
+            marker = env.sleep(float("inf"))
+            seqs.append(env._seq)  # sleep() itself takes no number
+            yield marker
+
+        env.process(sleeper())
+        env.step()  # the bootstrap: the yield takes the sleep's number
+        assert seqs == [2]
+        assert env.peek() == float("inf") and env._seq == 3
 
     def test_fires_at_scheduled_time(self, env):
         fired = []

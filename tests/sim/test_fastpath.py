@@ -176,16 +176,28 @@ class TestBoundedRun:
 
 class TestFreelists:
     def test_sleep_entries_recycle(self, env):
+        markers = set()
+
         def sleeper():
             for _ in range(1000):
-                yield env.sleep(0.001)
+                marker = env.sleep(0.001)
+                markers.add(id(marker))
+                assert not isinstance(marker, Event)
+                yield marker
 
-        env.process(sleeper())
-        env.run()
-        # 1000 sleeps park at most a couple of pooled timeouts: the
-        # same object cycles through the queue instead of 1000 fresh
-        # Timeout allocations.
-        assert 1 <= len(env._timeout_pool) <= 4
+        proc = env.process(sleeper())
+        env.step()  # the bootstrap
+        # 1000 sleeps allocate no event: each is one heap entry holding
+        # the process itself, and every call returns the same marker.
+        for _ in range(1000):
+            assert not env._fifo
+            ((_, seq, entry),) = env._queue
+            assert entry is proc and seq == proc._wake
+            env.step()
+        assert not proc.is_alive and env.now == pytest.approx(1.0)
+        assert not env._queue and len(env._fifo) == 1  # the exit
+        assert len(markers) == 1
+        assert len(env._resume_pool) == 1  # the bootstrap's resume
 
     def test_resume_entries_recycle(self, env):
         done = Event(env)

@@ -29,6 +29,7 @@ import pytest
 
 from repro.exec.spec import RunPoint
 from repro.sim.engine import Environment
+from repro.workloads import feedsim
 from tests.conftest import run_point
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
@@ -162,12 +163,37 @@ def test_report_matches_golden_digest(case, point):
     )
 
 
-@pytest.mark.parametrize("case", ["llmbench-chat", "taobench+overload_shed"])
-def test_queued_core_grants_match_golden_digest(case, monkeypatch):
+@pytest.fixture
+def unmemoized():
+    """Simulate feedsim's SLO search afresh, inside the test's patches,
+    and leave no memo made under them behind."""
+    feedsim._registry_operating_point.cache_clear()
+    yield
+    feedsim._registry_operating_point.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "case,point", golden_points(), ids=[c for c, _ in golden_points()]
+)
+def test_queued_core_grants_match_golden_digest(
+    case, point, monkeypatch, unmemoized
+):
     """With every burst forced onto the queued core grant (the reference
     for the inline grant), the reports are still the goldens."""
     monkeypatch.setattr(Environment, "_grant_is_next", lambda self: False)
-    point = dict(golden_points())[case]
+    assert report_digest(point) == _load_goldens()[case]["digest"]
+
+
+@pytest.mark.parametrize(
+    "case,point", golden_points(), ids=[c for c, _ in golden_points()]
+)
+def test_sleeps_as_timeouts_match_golden_digest(
+    case, point, monkeypatch, unmemoized
+):
+    """With every sleep a ``Timeout`` event (the reference for a sleep
+    that is its process's own heap entry), the reports are still the
+    goldens."""
+    monkeypatch.setattr(Environment, "sleep", Environment.timeout)
     assert report_digest(point) == _load_goldens()[case]["digest"]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.workloads.aibench import (
+    AIBENCH_CHARACTERISTICS,
     AIBENCH_SLO,
     AiBench,
     DlrmConfig,
@@ -12,6 +13,7 @@ from repro.workloads.aibench import (
 )
 from repro.workloads.base import RunConfig
 from repro.workloads.registry import extension_benchmarks, get_workload
+from repro.workloads.runner import BenchmarkHarness
 
 
 class TestMiniDlrm:
@@ -98,3 +100,49 @@ class TestAiBenchWorkload:
         from repro.workloads.registry import dcperf_benchmarks
 
         assert "aibench" not in dcperf_benchmarks()
+
+
+#: The extras ``AiBench.run`` adds to the operating point's run.
+RUN_EXTRAS = (
+    "slo_max_rps", "slo_p99_seconds", "validation_mean_ctr", "validation_batch"
+)
+
+
+def reference_run(config, rate):
+    """A fresh simulation at the searched rate: what ``run`` reported
+    before it reused the search's probe."""
+    harness = BenchmarkHarness(config, AIBENCH_CHARACTERISTICS)
+    handler = AiBench()._build_handler(harness)
+    return harness.run_open_loop(handler, offered_rps=rate)
+
+
+class TestOperatingPointRun:
+    @pytest.mark.parametrize("sku", ["SKU1", "SKU2"])
+    def test_run_reports_the_probe_at_the_operating_rate(self, sku, monkeypatch):
+        config = RunConfig(sku_name=sku, warmup_seconds=0.2, measure_seconds=0.6)
+        counts = {"probes": 0, "simulations": 0}
+        probe = AiBench._probe
+        run_open_loop = BenchmarkHarness.run_open_loop
+
+        def counting_probe(self, *args, **kwargs):
+            counts["probes"] += 1
+            return probe(self, *args, **kwargs)
+
+        def counting_run_open_loop(self, *args, **kwargs):
+            counts["simulations"] += 1
+            return run_open_loop(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AiBench, "_probe", counting_probe)
+            patch.setattr(
+                BenchmarkHarness, "run_open_loop", counting_run_open_loop
+            )
+            result = AiBench().run(config)
+        assert counts["probes"] > 1
+        assert counts["simulations"] == counts["probes"]
+
+        reported = result.as_dict()
+        for key in RUN_EXTRAS:
+            del reported["extra"][key]
+        fresh = reference_run(config, result.extra["slo_max_rps"])
+        assert reported == fresh.as_dict()

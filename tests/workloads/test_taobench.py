@@ -79,12 +79,11 @@ class TestWritePath:
 class TestProcessTeardown:
     """Over a whole point, no finished process is left for the cyclic
     collector: only processes still suspended when the run ended sit in
-    the harness's cyclic graph.  Retrying scenarios are out of scope: a
-    caught fault kept as ``ServiceClient.call``'s ``last_error`` ties
-    its traceback's frames, and the attempt processes they name, into a
-    cycle by design."""
+    the harness's cyclic graph."""
 
-    @pytest.mark.parametrize("faults", ["", "overload_shed"])
+    @pytest.mark.parametrize(
+        "faults", ["", "overload_shed", "blackout", "flaky_network"]
+    )
     def test_only_suspended_processes_are_cyclic_garbage(self, faults):
         point = RunPoint(
             benchmark="taobench",

@@ -40,8 +40,9 @@ from repro.sim.rng import RngStreams
 def _sleep_fn(env: Environment):
     """The cheapest fire-and-forget delay the engine offers.
 
-    Prefers the freelist-backed ``sleep`` and falls back to ``timeout``
-    so the same tool benchmarks both engine generations fairly.
+    Prefers ``sleep``, which allocates no event (the sleeping process
+    is its own heap entry), and falls back to ``timeout`` so the same
+    tool benchmarks every engine generation fairly.
     """
     return getattr(env, "sleep", env.timeout)
 

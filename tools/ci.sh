@@ -382,17 +382,18 @@ EOF
 # point as a process.  Each command must exit 0.  The SKU4 blackout suite
 # runs the default window, where a feedsim leaf fails after its request
 # was abandoned (an abandoned join must drop that failure).
-echo "== CLI smoke (run, sharded run, suites under blackout, cache info) =="
+echo "== CLI smoke (run, sharded run, aibench run, suites under blackout, cache info) =="
 python -m repro.core.cli run -b taobench --measure-seconds 0.3 > /dev/null
 python -m repro.core.cli run -b taobench --shards 2 --measure-seconds 0.3 \
     > /dev/null
+python -m repro.core.cli run -b aibench --measure-seconds 0.3 > /dev/null
 python -m repro.core.cli suite --faults blackout --measure-seconds 0.3 \
     > /dev/null
 python -m repro.core.cli suite --sku SKU4 --faults blackout --no-cache \
     > /dev/null
 python -m repro.core.cli cache info > /dev/null
-echo "CLI smoke ok: run, run --shards 2, suite --faults blackout (0.3 s" \
-    "window; SKU4 at the default window), cache info"
+echo "CLI smoke ok: run, run --shards 2, run -b aibench, suite --faults" \
+    "blackout (0.3 s window; SKU4 at the default window), cache info"
 
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
