@@ -2,8 +2,8 @@
 
 TaoBench is a read-through cache modeled after TAO, built on Memcached
 with separate fast (hit) and slow (miss) thread pools.  This package
-implements the actual data structures: a byte-bounded LRU store with
-TTL support (:class:`LruCache`), a Memcached-style command interface
+implements the actual data structures: a byte-bounded LRU store
+(:class:`LruCache`), a Memcached-style command interface
 (:class:`MemcachedServer`), and read-through logic
 (:class:`ReadThroughCache`) with hit/miss dispatch statistics.
 """

@@ -1,16 +1,14 @@
-"""Byte-bounded LRU cache with TTL support.
+"""Byte-bounded LRU cache.
 
 The core data structure under both the Memcached model and the
-read-through cache.  Eviction is strict LRU by byte budget; expired
-entries are treated as misses and reclaimed lazily on access or
-eagerly via :meth:`LruCache.purge_expired`.
+read-through cache.  Eviction is strict LRU by byte budget.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 
 @dataclass
@@ -20,7 +18,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     sets: int = 0
 
     @property
@@ -37,32 +34,18 @@ class CacheStats:
 class LruCache:
     """Strict-LRU cache bounded by total value bytes.
 
-    ``clock`` supplies the current time for TTL decisions (inject the
-    sim clock in simulations; defaults to a monotonic counter that
-    never expires anything).
-
     The store is one ``OrderedDict`` from key to value bytes, LRU first,
-    and an entry's size is ``len(value)``.  TTL deadlines live in a side
-    dict holding only the keys that have one, so a cache that never sets
-    a TTL pays one empty-dict test per lookup.  Neither structure holds
-    a per-entry Python object: bytes are not tracked by the cyclic
-    garbage collector, so a large fill (TaoBench's ~54k-entry pre-warm)
-    adds nothing for it to traverse.
+    and an entry's size is ``len(value)``.  It holds no per-entry Python
+    object: bytes are not tracked by the cyclic garbage collector, so a
+    large fill (TaoBench's ~54k-entry pre-warm) adds nothing for it to
+    traverse.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
-        self._clock = clock or (lambda: 0.0)
         self._entries: "OrderedDict[str, bytes]" = OrderedDict()
-        #: Expiry time of every key set with a TTL (a subset of
-        #: ``_entries``' keys).
-        self._expires: Dict[str, float] = {}
         self._used_bytes = 0
         self.stats = CacheStats()
 
@@ -70,25 +53,16 @@ class LruCache:
         return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries and not self._expired(key)
+        return key in self._entries
 
     @property
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    def _expired(self, key: str) -> bool:
-        expires_at = self._expires.get(key)
-        return expires_at is not None and self._clock() >= expires_at
-
     def get(self, key: str) -> Optional[bytes]:
         """Return the value and refresh recency, or None on miss."""
         value = self._entries.get(key)
         if value is None:
-            self.stats.misses += 1
-            return None
-        if self._expires and self._expired(key):
-            self._remove(key)
-            self.stats.expirations += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -97,12 +71,9 @@ class LruCache:
 
     def peek(self, key: str) -> Optional[bytes]:
         """Like :meth:`get` but without touching recency or stats."""
-        value = self._entries.get(key)
-        if value is None or (self._expires and self._expired(key)):
-            return None
-        return value
+        return self._entries.get(key)
 
-    def set(self, key: str, value: bytes, ttl_seconds: Optional[float] = None) -> None:
+    def set(self, key: str, value: bytes) -> None:
         """Insert or replace; evicts LRU entries to fit.
 
         A replacement overwrites the value and moves the key to MRU,
@@ -119,11 +90,6 @@ class LruCache:
             raise ValueError(
                 f"value of {size} bytes exceeds capacity {self.capacity_bytes}"
             )
-        expires_at = None
-        if ttl_seconds is not None:
-            if ttl_seconds <= 0:
-                raise ValueError("ttl_seconds must be positive")
-            expires_at = self._clock() + ttl_seconds
         entries = self._entries
         old = entries.get(key)
         entries[key] = bytes(value)
@@ -132,31 +98,21 @@ class LruCache:
             entries.move_to_end(key)
         else:
             self._used_bytes += size
-        if expires_at is not None:
-            self._expires[key] = expires_at
-        elif self._expires:
-            self._expires.pop(key, None)
         while self._used_bytes > self.capacity_bytes:
             self._evict_lru()
         self.stats.sets += 1
 
     def delete(self, key: str) -> bool:
         """Remove a key; returns True if it was present."""
-        if key in self._entries:
-            self._remove(key)
-            return True
-        return False
-
-    def _remove(self, key: str) -> None:
-        self._used_bytes -= len(self._entries.pop(key))
-        if self._expires:
-            self._expires.pop(key, None)
+        value = self._entries.pop(key, None)
+        if value is None:
+            return False
+        self._used_bytes -= len(value)
+        return True
 
     def _evict_lru(self) -> None:
-        key, value = self._entries.popitem(last=False)
+        _, value = self._entries.popitem(last=False)
         self._used_bytes -= len(value)
-        if self._expires:
-            self._expires.pop(key, None)
         self.stats.evictions += 1
 
     def load(self, items: Iterable[Tuple[str, bytes]]) -> None:
@@ -164,8 +120,8 @@ class LruCache:
 
         Equivalent to calling :meth:`set` once per pair — same
         insertion order, byte accounting, and ``sets`` counter — for
-        fills already known to need no eviction or TTL handling (e.g.
-        replaying a memoized pre-warm): one ``OrderedDict.update``.
+        fills already known to need no eviction (e.g. replaying a
+        memoized pre-warm): one ``OrderedDict.update``.
         Requires an empty cache and distinct keys; raises
         ``ValueError`` on a repeated key or if the items exceed
         capacity, leaving the cache empty.
@@ -191,29 +147,18 @@ class LruCache:
         self.stats.sets += len(items)
 
     def clear(self) -> int:
-        """O(1) flush: drop every entry (live *and* expired) at once.
+        """O(1) flush: drop every entry at once.
 
-        Counters (hits/misses/evictions/expirations/sets) are
-        preserved — a flush is an operator action, not cache pressure,
-        so it must not distort hit-rate accounting.  Returns the
-        number of entries dropped.
+        Counters (hits/misses/evictions/sets) are preserved — a flush
+        is an operator action, not cache pressure, so it must not
+        distort hit-rate accounting.  Returns the number of entries
+        dropped.
         """
         count = len(self._entries)
         self._entries.clear()
-        self._expires.clear()
         self._used_bytes = 0
         return count
 
-    def purge_expired(self) -> int:
-        """Eagerly remove expired entries; returns the count removed."""
-        expired = [k for k in self._expires if self._expired(k)]
-        for key in expired:
-            self._remove(key)
-            self.stats.expirations += 1
-        return len(expired)
-
     def items_snapshot(self) -> Tuple[Tuple[str, bytes], ...]:
-        """LRU-to-MRU snapshot of live entries (tests/debugging)."""
-        return tuple(
-            (k, v) for k, v in self._entries.items() if not self._expired(k)
-        )
+        """LRU-to-MRU snapshot of the entries (tests/debugging)."""
+        return tuple(self._entries.items())

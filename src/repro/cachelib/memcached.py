@@ -2,14 +2,13 @@
 
 Exposes the core Memcached command set (get/set/delete/flush/stats)
 over the LRU store, with the text-protocol semantics that matter for
-correctness: flat key space, byte values, per-item TTLs, and LRU
-eviction under a byte budget.  TaoBench's server component is built on
-this class.
+correctness: flat key space, byte values, and LRU eviction under a
+byte budget.  TaoBench's server component is built on this class.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.cachelib.lru import LruCache
 
@@ -50,12 +49,8 @@ def check_key(key: str) -> None:
 class MemcachedServer:
     """A single Memcached instance."""
 
-    def __init__(
-        self,
-        capacity_bytes: int = 64 * 1024 * 1024,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.cache = LruCache(capacity_bytes, clock=clock)
+    def __init__(self, capacity_bytes: int = 64 * 1024 * 1024) -> None:
+        self.cache = LruCache(capacity_bytes)
         #: Keys that have already passed validation.  Validity is a
         #: pure function of the key string, so membership survives
         #: ``delete``/``flush_all`` safely; invalid keys are never
@@ -75,22 +70,13 @@ class MemcachedServer:
         self._check_key(key)
         return self.cache.get(key)
 
-    def get_multi(self, keys: Iterable[str]) -> Dict[str, bytes]:
-        """Batch get; absent keys are omitted from the result."""
-        out: Dict[str, bytes] = {}
-        for key in keys:
-            value = self.get(key)
-            if value is not None:
-                out[key] = value
-        return out
-
-    def set(self, key: str, value: bytes, ttl_seconds: Optional[float] = None) -> None:
+    def set(self, key: str, value: bytes) -> None:
         self._check_key(key)
         if len(value) > MAX_VALUE_BYTES:
             raise MemcachedError(
                 f"value of {len(value)} bytes exceeds the 1MB item limit"
             )
-        self.cache.set(key, value, ttl_seconds=ttl_seconds)
+        self.cache.set(key, value)
 
     def delete(self, key: str) -> bool:
         self._check_key(key)
@@ -116,8 +102,7 @@ class MemcachedServer:
         """Drop every item (preserves counters, like the real command).
 
         Delegates to :meth:`LruCache.clear` — O(1) instead of one
-        LRU-bookkeeping delete per live key (and it also reclaims
-        already-expired entries the old snapshot walk skipped).
+        LRU-bookkeeping delete per live key.
         """
         self.cache.clear()
 
@@ -127,7 +112,6 @@ class MemcachedServer:
             "get_hits": s.hits,
             "get_misses": s.misses,
             "evictions": s.evictions,
-            "expired": s.expirations,
             "cmd_set": s.sets,
             "curr_items": len(self.cache),
             "bytes": self.cache.used_bytes,

@@ -47,15 +47,9 @@ class ReadThroughCache:
     route the request to the right thread pool.
     """
 
-    def __init__(
-        self,
-        server: MemcachedServer,
-        backend: BackendFetch,
-        ttl_seconds: Optional[float] = None,
-    ) -> None:
+    def __init__(self, server: MemcachedServer, backend: BackendFetch) -> None:
         self.server = server
         self.backend = backend
-        self.ttl_seconds = ttl_seconds
         self.stats = DispatchStats()
 
     def get(self, key: str) -> Tuple[bytes, bool]:
@@ -66,7 +60,7 @@ class ReadThroughCache:
             return value, True
         self.stats.slow_path += 1
         value = self.backend(key)
-        self.server.set(key, value, ttl_seconds=self.ttl_seconds)
+        self.server.set(key, value)
         return value, False
 
     def invalidate(self, key: str) -> bool:
@@ -83,11 +77,8 @@ class LookAsideCache:
     exactly the architectural difference DCPerf corrects for.
     """
 
-    def __init__(
-        self, server: MemcachedServer, ttl_seconds: Optional[float] = None
-    ) -> None:
+    def __init__(self, server: MemcachedServer) -> None:
         self.server = server
-        self.ttl_seconds = ttl_seconds
         self.stats = DispatchStats()
 
     def get(self, key: str) -> Optional[bytes]:
@@ -100,4 +91,4 @@ class LookAsideCache:
 
     def fill(self, key: str, value: bytes) -> None:
         """Client-side fill after a backend fetch."""
-        self.server.set(key, value, ttl_seconds=self.ttl_seconds)
+        self.server.set(key, value)

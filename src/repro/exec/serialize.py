@@ -17,7 +17,7 @@ JSON: its files sit in a shared directory, where unpickling would run
 code.
 
 Shard sub-run payloads additionally carry the recorder's mergeable
-state (sorted samples or sparse histogram buckets) nested in
+state (error count and sorted samples) nested in
 ``result.extra`` — both codecs transport it losslessly, which is what
 makes the shard merge byte-identical across the in-process and
 warm-pool execution paths.

@@ -12,7 +12,7 @@ The merge (:func:`merge_shard_payloads`) is the load-bearing half:
 
 * **Latency** merges *recorder state*, not summaries — every shard ships
   its full :meth:`~repro.loadgen.recorder.LatencyRecorder.mergeable_state`
-  (sorted samples or HDR bucket counts), so the merged percentiles are
+  (error count and sorted samples), so the merged percentiles are
   exactly those of the union sample stream.  Only workloads that run
   the open-loop harness can be sharded: any other workload runs its
   whole job in every shard, so its merge is refused.

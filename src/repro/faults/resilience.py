@@ -109,17 +109,6 @@ class ResilienceStats:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
 
-    def retry_amplification(self) -> float:
-        """Attempts issued per request (1.0 = no amplification)."""
-        if self.requests == 0:
-            return 1.0
-        return self.attempts / self.requests
-
-    def error_rate(self) -> float:
-        if self.requests == 0:
-            return 0.0
-        return self.failures / self.requests
-
     def as_extra(self) -> Dict[str, float]:
         """Flatten into ``resilience_*`` keys for ``WorkloadResult.extra``."""
         return {

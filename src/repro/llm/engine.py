@@ -318,10 +318,6 @@ class LlmReplica:
             self._wake.succeed()
         return seq.done
 
-    @property
-    def resident(self) -> int:
-        return len(self.active)
-
     # --- engine loop ----------------------------------------------------------
     def _admit(self) -> List[Sequence]:
         """Move queued sequences into free slots while KV budget allows.

@@ -9,9 +9,9 @@ fixed-size windows (counted in completions, never in wall time, so two
 runs of the same seed close windows at the same instants), each window
 is summarized into a :class:`WindowSnapshot` — p50/p95/p99 from an
 HDR-style :class:`~repro.loadgen.recorder.BucketedHistogram`, error
-rate, SLO-met count, goodput fraction, attributed device stall time —
-and observers (load shedders, admission controllers, brownout
-responders) react at window boundaries.
+rate, SLO-met count, attributed device stall time — and observers
+(load shedders, admission controllers, brownout responders) react at
+window boundaries.
 
 Determinism contract: window boundaries depend only on the completion
 sequence; every field of a snapshot is a pure function of the
@@ -21,7 +21,7 @@ byte-identical by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.loadgen.recorder import BucketedHistogram
 
@@ -85,12 +85,6 @@ class WindowSnapshot:
         total = self.total
         return self.errors / total if total else 0.0
 
-    @property
-    def goodput_fraction(self) -> float:
-        """Fraction of finished requests that met the SLO."""
-        total = self.total
-        return self.slo_met / total if total else 0.0
-
     def as_row(self) -> List[float]:
         """Compact report row (JSON/codec-safe plain floats)."""
         return [
@@ -133,11 +127,11 @@ class WindowedSloTracker:
     stamp window start/end times for reporting — window *boundaries*
     are decided by completion counts alone.
 
-    ``on_window`` observers are invoked in registration order at every
-    window close; they run inside the completion callback, so anything
-    they mutate (drop probabilities, relief factors) takes effect for
-    the very next arrival — the closed-loop property the control plane
-    needs.
+    Observers added with :meth:`subscribe` are invoked in registration
+    order at every window close; they run inside the completion
+    callback, so anything they mutate (drop probabilities, relief
+    factors) takes effect for the very next arrival — the closed-loop
+    property the control plane needs.
     """
 
     __slots__ = (
@@ -164,7 +158,6 @@ class WindowedSloTracker:
         window_completions: int,
         slo_latency_s: float,
         clock: Callable[[], float],
-        on_window: Optional[WindowObserver] = None,
     ) -> None:
         if window_completions < 1:
             raise ValueError("window_completions must be >= 1")
@@ -174,8 +167,6 @@ class WindowedSloTracker:
         self.slo_latency_s = slo_latency_s
         self._clock = clock
         self._observers: List[WindowObserver] = []
-        if on_window is not None:
-            self._observers.append(on_window)
         self._window_hist = BucketedHistogram()
         self._window_errors = 0
         self._window_slo_met = 0
@@ -272,20 +263,6 @@ class WindowedSloTracker:
         """Cumulative fraction of finished requests that met the SLO."""
         total = self.completions + self.errors
         return self.slo_met / total if total else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """Scalar cumulative signals (report/extra-safe floats)."""
-        return {
-            "completions": float(self.completions),
-            "errors": float(self.errors),
-            "slo_met": float(self.slo_met),
-            "windows": float(self.windows_closed),
-            "goodput_fraction": self.goodput_fraction(),
-            "p50": self.cumulative_percentile(50.0),
-            "p95": self.cumulative_percentile(95.0),
-            "p99": self.cumulative_percentile(99.0),
-            "stall_seconds": self.stall_seconds,
-        }
 
     def window_series(self) -> List[List[float]]:
         """Every closed window as a compact report row."""

@@ -131,7 +131,7 @@ class LsmTree:
     instructions on its harness, which is how background compaction
     contends with foreground request processing for simulated cores.
     ``on_stall`` (optional) observes each writer stall duration — the
-    StorageBench workload feeds these into an HDR-bucketed recorder.
+    StorageBench workload counts these in a bucketed histogram.
     """
 
     def __init__(

@@ -36,7 +36,7 @@ class RunConfig:
     control plane: a windowed percentile tracker plus the SLO-triggered
     behaviors it drives (load shedding, per-instance admission caps,
     brownout relief — see :mod:`repro.faults.control`).  It defaults to
-    disabled so the exact-backend golden path is untouched; control
+    disabled so the plain golden path is untouched; control
     runs never stop early (shedding makes their windows deliberately
     non-stationary, like fault runs).
 

@@ -89,7 +89,7 @@ class CloudSuiteDataCaching(Workload):
         instances = MAX_SERVER_INSTANCES
         instance_locks = [Resource(env, capacity=1) for _ in range(instances)]
         servers = [
-            MemcachedServer(capacity_bytes=4 * 1024 * 1024, clock=lambda: env.now)
+            MemcachedServer(capacity_bytes=4 * 1024 * 1024)
             for _ in range(instances)
         ]
         caches = [LookAsideCache(s) for s in servers]

@@ -65,9 +65,7 @@ class DjangoBench(Workload):
         env = harness.env
         instances = InstanceSet(harness)
         serial_frac = self._chars.serial_fraction
-        object_cache = MemcachedServer(
-            capacity_bytes=OBJECT_CACHE_BYTES, clock=lambda: env.now
-        )
+        object_cache = MemcachedServer(capacity_bytes=OBJECT_CACHE_BYTES)
         # Pre-warm ~70% of the object key space (steady-state cache).
         for rank in range(1, int(OBJECT_KEY_SPACE * 0.7) + 1):
             key = f"obj:{rank}"

@@ -129,13 +129,14 @@ class FeedSim(Workload):
     def _probe(self, config: RunConfig, offered_rps: float) -> ProbeResult:
         """One trial at a fixed offered load."""
         result = self._measure(config, offered_rps)
-        p95 = result.latency.get("p95", float("inf"))
+        latency = result.latency
+        errors = latency.get("errors", 0)
         return ProbeResult(
             offered_rps=offered_rps,
             achieved_rps=result.throughput_rps,
-            latency_at_percentile=p95,
-            error_rate=result.latency.get("errors", 0)
-            / max(1, result.latency.get("count", 1)),
+            latency_at_percentile=latency.get("p95", float("inf")),
+            # Errors over every finished request, successes included.
+            error_rate=errors / max(1, latency.get("count", 0) + errors),
             cpu_util=result.cpu_util,
             run=result,
         )

@@ -69,9 +69,7 @@ class MediaWiki(Workload):
         env = harness.env
         instances = InstanceSet(harness)
         serial_frac = self._chars.serial_fraction
-        page_cache = MemcachedServer(
-            capacity_bytes=PAGE_CACHE_BYTES, clock=lambda: env.now
-        )
+        page_cache = MemcachedServer(capacity_bytes=PAGE_CACHE_BYTES)
         # Pre-warm: a production HHVM/Memcached tier runs with a hot
         # page cache; fill until the byte budget is ~full.
         warm_rng = harness.rng.stream("warm")

@@ -461,8 +461,8 @@ class BenchmarkHarness:
             )
             result.extra["convergence_windows"] = float(monitor.windows_closed)
         if self.config.shard_index >= 0:
-            # Shard sub-runs ship their full recorder state (sorted
-            # samples or HDR buckets) so the parent merge computes the
+            # Shard sub-runs ship their full recorder state (errors and
+            # sorted samples) so the parent merge computes the
             # union-stream percentiles exactly, instead of averaging
             # per-shard summaries.
             result.extra["shard_latency"] = self.recorder.mergeable_state()

@@ -21,8 +21,7 @@ What makes this workload different from the CPU-only benchmarks:
 * **Write stalls** propagate to the client: when L0 backs up, ``put``
   handlers block until compaction drains it, which is exactly how
   compaction interference becomes visible in foreground p99.  Stall
-  durations feed an HDR-bucketed
-  :class:`~repro.loadgen.recorder.LatencyRecorder`.
+  durations feed a :class:`~repro.loadgen.recorder.BucketedHistogram`.
 
 Batch semantics match TaoBench: one simulated request stands for
 :data:`BATCH` production requests; device transfers scale by the
@@ -37,7 +36,7 @@ from typing import Generator, Optional
 from repro.cachelib.lru import LruCache
 from repro.hw.blockdev import BlockDevice, device_spec_for
 from repro.loadgen.generators import Request
-from repro.loadgen.recorder import LatencyRecorder
+from repro.loadgen.recorder import BucketedHistogram
 from repro.sim.rng import WeightedChoice, ZipfSampler, lognormal_sampler
 from repro.storage.lsm import LsmConfig, LsmTree
 from repro.uarch.characteristics import WorkloadCharacteristics
@@ -119,8 +118,8 @@ class StorageBench(Workload):
         if harness.injector is not None:
             harness.injector.attach_device(device)
 
-        block_cache = LruCache(BLOCK_CACHE_BYTES, clock=lambda: env.now)
-        stall_recorder = LatencyRecorder(backend="hdr")
+        block_cache = LruCache(BLOCK_CACHE_BYTES)
+        stall_recorder = BucketedHistogram()
         # When the run carries the SLO control plane, write-stall time
         # is folded into its windowed accounting too — stalls become an
         # SLO signal, not just an iostat line.
@@ -212,7 +211,7 @@ class StorageBench(Workload):
             yield env.sleep(config.warmup_seconds)
             device.reset_stats()
             tree.stats.reset()
-            stall_recorder.reset()
+            stall_recorder.clear()
             cache_baseline[0] = block_cache.stats.hits
             cache_baseline[1] = block_cache.stats.lookups
 
@@ -251,7 +250,7 @@ class StorageBench(Workload):
         extra["io_stall_seconds"] = stats.stall_seconds
         extra["io_stall_events"] = float(stats.stall_events)
         extra["io_stall_p99_s"] = (
-            stall_recorder.percentile(99.0) if len(stall_recorder) else 0.0
+            stall_recorder.percentile(99.0) if stall_recorder.total else 0.0
         )
         extra["lsm_gets"] = float(stats.gets)
         extra["lsm_puts"] = float(stats.puts)

@@ -131,9 +131,7 @@ class TaoBench(Workload):
         slow_pool = harness.make_pool("slow", max(2, cores * 4))
 
         # The real cache: keys sampled Zipf, objects sized lognormal.
-        server = MemcachedServer(
-            capacity_bytes=CACHE_CAPACITY_BYTES, clock=lambda: env.now
-        )
+        server = MemcachedServer(capacity_bytes=CACHE_CAPACITY_BYTES)
         size_rng = harness.rng.stream("object-sizes")
         size_sampler = lognormal_sampler(MEAN_OBJECT_BYTES, OBJECT_SIZE_CV)
 
@@ -174,10 +172,8 @@ class TaoBench(Workload):
                     )
                 )
                 return
-            value = server.cache.peek(key)
-            if value is not None:
+            if server.get(key) is not None:
                 # Fast path: serve the cached object.
-                server.get(key)  # updates recency + hit stats
                 cache.stats.fast_path += 1
                 done = fast_pool.submit(
                     lambda: harness.burst(hit_instr)
@@ -187,7 +183,6 @@ class TaoBench(Workload):
                 # Slow path: dispatch to a slow thread, wait on the
                 # backend, create and insert the object.
                 cache.stats.slow_path += 1
-                server.cache.stats.misses += 1
 
                 def slow_work() -> Generator:
                     yield env.sleep(

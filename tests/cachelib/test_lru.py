@@ -79,38 +79,6 @@ class TestEviction:
         assert sum(len(v) for _, v in live) == cache.used_bytes
 
 
-class TestTtl:
-    def test_expiry_is_a_miss(self):
-        clock = [0.0]
-        cache = LruCache(100, clock=lambda: clock[0])
-        cache.set("k", b"v", ttl_seconds=5.0)
-        assert cache.get("k") == b"v"
-        clock[0] = 6.0
-        assert cache.get("k") is None
-        assert cache.stats.expirations == 1
-
-    def test_purge_expired(self):
-        clock = [0.0]
-        cache = LruCache(100, clock=lambda: clock[0])
-        cache.set("a", b"v", ttl_seconds=1.0)
-        cache.set("b", b"v")
-        clock[0] = 2.0
-        assert cache.purge_expired() == 1
-        assert "b" in cache
-
-    def test_invalid_ttl(self):
-        with pytest.raises(ValueError):
-            LruCache(100).set("k", b"v", ttl_seconds=0.0)
-
-    def test_contains_respects_ttl(self):
-        clock = [0.0]
-        cache = LruCache(100, clock=lambda: clock[0])
-        cache.set("k", b"v", ttl_seconds=1.0)
-        assert "k" in cache
-        clock[0] = 2.0
-        assert "k" not in cache
-
-
 class TestStats:
     def test_hit_rate(self):
         cache = LruCache(100)
@@ -137,14 +105,6 @@ class TestClearAndLoad:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.sets == 1
-
-    def test_clear_drops_expired_entries_too(self):
-        clock = [0.0]
-        cache = LruCache(100, clock=lambda: clock[0])
-        cache.set("a", b"v", ttl_seconds=1.0)
-        clock[0] = 5.0
-        assert cache.clear() == 1
-        assert cache.used_bytes == 0
 
     def test_load_matches_set_sequence(self):
         items = [(f"k{i}", b"x" * (i + 1)) for i in range(10)]
@@ -200,42 +160,13 @@ class TestClearAndLoad:
         assert after - before < 10
 
 
-class TestTtlRacingEviction:
-    def test_expired_entry_evicted_under_pressure_counts_once(self):
-        """An entry that has expired but not yet been reclaimed is still
-        a legal LRU victim; eviction and expiration must not both be
-        charged for it."""
-        clock = [0.0]
-        cache = LruCache(30, clock=lambda: clock[0])
-        cache.set("old", b"x" * 10, ttl_seconds=1.0)
-        cache.set("live", b"x" * 10)
-        clock[0] = 2.0  # "old" is now expired but still resident
-        cache.set("new1", b"x" * 10)  # fits: no eviction yet
-        cache.set("new2", b"x" * 10)  # evicts "old" (LRU, expired)
-        assert cache.stats.evictions == 1
-        assert cache.stats.expirations == 0
-        assert "live" in cache
-        assert "new1" in cache and "new2" in cache
-
-    def test_replace_of_expired_entry_updates_in_place(self):
-        clock = [0.0]
-        cache = LruCache(100, clock=lambda: clock[0])
-        cache.set("k", b"old", ttl_seconds=1.0)
-        clock[0] = 2.0
-        cache.set("k", b"newval")  # replacement clears the stale TTL
-        clock[0] = 100.0
-        assert cache.get("k") == b"newval"
-        assert cache.used_bytes == 6
-
-
 class _ReferenceLru:
-    """The LRU contract as an ordered list of ``(key, value, expires_at)``,
-    LRU first: the slow, obvious model :class:`LruCache` must match.
-    It mirrors the cache's interface so one test loop can call both."""
+    """The LRU contract as an ordered list of ``(key, value)``, LRU
+    first: the slow, obvious model :class:`LruCache` must match.  It
+    mirrors the cache's interface so one test loop can call both."""
 
-    def __init__(self, capacity, clock):
+    def __init__(self, capacity):
         self.capacity = capacity
-        self.clock = clock
         self.entries = []
         self.stats = CacheStats()
 
@@ -245,19 +176,15 @@ class _ReferenceLru:
                 return i
         return None
 
-    def _expired(self, entry):
-        return entry[2] is not None and self.clock() >= entry[2]
-
     def __len__(self):
         return len(self.entries)
 
     def __contains__(self, key):
-        i = self._find(key)
-        return i is not None and not self._expired(self.entries[i])
+        return self._find(key) is not None
 
     @property
     def used_bytes(self):
-        return sum(len(value) for _, value, _ in self.entries)
+        return sum(len(value) for _, value in self.entries)
 
     def get(self, key):
         i = self._find(key)
@@ -265,28 +192,21 @@ class _ReferenceLru:
             self.stats.misses += 1
             return None
         entry = self.entries.pop(i)
-        if self._expired(entry):
-            self.stats.expirations += 1
-            self.stats.misses += 1
-            return None
         self.entries.append(entry)
         self.stats.hits += 1
         return entry[1]
 
     def peek(self, key):
         i = self._find(key)
-        if i is None or self._expired(self.entries[i]):
-            return None
-        return self.entries[i][1]
+        return None if i is None else self.entries[i][1]
 
-    def set(self, key, value, ttl_seconds=None):
+    def set(self, key, value):
         if len(value) > self.capacity:
             raise ValueError("too big")
         i = self._find(key)
         if i is not None:
             del self.entries[i]
-        expires_at = None if ttl_seconds is None else self.clock() + ttl_seconds
-        self.entries.append((key, value, expires_at))
+        self.entries.append((key, value))
         while self.used_bytes > self.capacity:
             self.entries.pop(0)
             self.stats.evictions += 1
@@ -298,13 +218,6 @@ class _ReferenceLru:
             return False
         del self.entries[i]
         return True
-
-    def purge_expired(self):
-        live = [e for e in self.entries if not self._expired(e)]
-        removed = len(self.entries) - len(live)
-        self.entries = live
-        self.stats.expirations += removed
-        return removed
 
     def clear(self):
         count = len(self.entries)
@@ -319,37 +232,32 @@ class _ReferenceLru:
             or sum(len(v) for _, v in items) > self.capacity
         ):
             raise ValueError("bad load")
-        self.entries = [(key, value, None) for key, value in items]
+        self.entries = list(items)
         self.stats.sets += len(items)
 
     def items_snapshot(self):
-        return tuple((e[0], e[1]) for e in self.entries if not self._expired(e))
+        return tuple(self.entries)
 
 
 class TestDifferential:
-    """Seeded random operation mixes against the reference model.  No
-    workload sets a TTL, so this is what covers the TTL paths."""
+    """Seeded random operation mixes against the reference model."""
 
     KEYS = [f"k{i}" for i in range(6)]
     CAPACITY = 24
 
     def _op(self, rng):
-        """One ``(method name, args)``; ``advance`` moves the clock."""
+        """One ``(method name, args)``."""
         keys = self.KEYS
         kind = rng.choice(
-            ["set", "set", "set_ttl", "get", "get", "peek", "delete",
-             "__contains__", "advance", "advance", "purge_expired", "clear",
-             "load"]
+            ["set", "set", "set", "get", "get", "peek", "delete",
+             "__contains__", "clear", "load"]
         )
-        if kind in ("set", "set_ttl"):
+        if kind == "set":
             size = rng.randint(1, self.CAPACITY + 2)  # a few are too big
             value = bytes([rng.randrange(256)]) * size
-            ttl = rng.choice([0.5, 1.0, 2.5]) if kind == "set_ttl" else None
-            return "set", (rng.choice(keys), value, ttl)
+            return kind, (rng.choice(keys), value)
         if kind in ("get", "peek", "delete", "__contains__"):
             return kind, (rng.choice(keys),)
-        if kind == "advance":
-            return kind, (rng.choice([0.25, 0.5, 1.0, 3.0]),)
         if kind == "load":
             picked = [rng.choice(keys) for _ in range(rng.randint(0, 4))]
             return kind, ([(k, b"L" * rng.randint(1, 9)) for k in picked],)
@@ -365,16 +273,12 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_reference_model(self, seed):
         rng = random.Random(seed)
-        clock = [0.0]
-        cache = LruCache(self.CAPACITY, clock=lambda: clock[0])
-        model = _ReferenceLru(self.CAPACITY, lambda: clock[0])
+        cache = LruCache(self.CAPACITY)
+        model = _ReferenceLru(self.CAPACITY)
         for step in range(300):
             name, args = self._op(rng)
-            if name == "advance":
-                clock[0] += args[0]
-            else:
-                got = self._call(cache, name, args)
-                assert got == self._call(model, name, args), (step, name, args)
+            got = self._call(cache, name, args)
+            assert got == self._call(model, name, args), (step, name, args)
             assert cache.stats == model.stats, (step, name, args)
             assert len(cache) == len(model), (step, name, args)
             assert cache.used_bytes == model.used_bytes, (step, name, args)

@@ -13,13 +13,6 @@ class TestCommands:
         assert server.delete("key")
         assert server.get("key") is None
 
-    def test_get_multi(self):
-        server = MemcachedServer()
-        server.set("a", b"1")
-        server.set("b", b"2")
-        out = server.get_multi(["a", "b", "c"])
-        assert out == {"a": b"1", "b": b"2"}
-
     def test_flush_all(self):
         server = MemcachedServer()
         server.set("a", b"1")
@@ -131,15 +124,6 @@ class TestFlushAndWarm:
         assert stats["cmd_set"] == 1
         assert stats["curr_items"] == 0
         assert stats["bytes"] == 0
-
-    def test_flush_all_drops_expired_entries(self):
-        clock = [0.0]
-        server = MemcachedServer(clock=lambda: clock[0])
-        server.set("a", b"1", ttl_seconds=1.0)
-        clock[0] = 2.0
-        server.flush_all()
-        assert len(server.cache) == 0
-        assert server.cache.used_bytes == 0
 
     def test_warm_matches_individual_sets(self):
         items = [(f"k{i}", bytes([i]) * (i + 1)) for i in range(20)]

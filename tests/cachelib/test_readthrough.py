@@ -41,15 +41,6 @@ class TestReadThrough:
         _, hit = cache.get("k")
         assert not hit
 
-    def test_ttl_passthrough(self):
-        clock = [0.0]
-        server = MemcachedServer(clock=lambda: clock[0])
-        cache = ReadThroughCache(server, backend, ttl_seconds=5.0)
-        cache.get("k")
-        clock[0] = 6.0
-        _, hit = cache.get("k")
-        assert not hit
-
 
 class TestLookAside:
     def test_miss_returns_none(self):

@@ -1,4 +1,4 @@
-"""BucketedHistogram and the LatencyRecorder HDR backend."""
+"""BucketedHistogram: log-linear latency buckets with O(buckets) reads."""
 
 import math
 import random
@@ -20,11 +20,22 @@ def reference_index(units, precision_bits):
     return shift * sub + (units >> shift)
 
 
+def reference_high(index, precision_bits):
+    """The highest microsecond count bucket ``index`` covers: an exact
+    bucket covers its own value, and bucket ``k * 2**bits + j`` of
+    magnitude ``k`` covers ``[j << k, (j + 1) << k)``."""
+    sub = 1 << precision_bits
+    if index < sub:
+        return index
+    shift = index // sub - 1
+    return ((index - shift * sub + 1) << shift) - 1
+
+
 def recorded_index(h, units):
     """The bucket ``record`` puts ``units`` microseconds in."""
     h.clear()
     h.record(units / 1e6)
-    assert h.max() * 1e6 == pytest.approx(units)
+    assert h.percentile(100) * 1e6 == pytest.approx(units)
     (index,) = h._counts
     return index
 
@@ -52,9 +63,12 @@ class TestBucketMapping:
         for units in (3, 17, 100, 1023, 4096, 123_456):
             index = recorded_index(h, units)
             assert index == reference_index(units, 4)
-            assert h._bucket_high_units(index) >= units
+            high = reference_high(index, 4)
+            assert high >= units
+            # The next bucket starts right above this one's top value.
+            assert reference_index(high + 1, 4) == index + 1
             mid = h._bucket_mid_seconds(index) * 1e6
-            assert mid <= h._bucket_high_units(index)
+            assert mid <= high
 
     def test_precision_bits_validated(self):
         with pytest.raises(ValueError):
@@ -85,24 +99,12 @@ class TestHistogramQueries:
         for s in (0.001, 0.5, 0.123456):
             h.record(s)
         assert h.percentile(100) == pytest.approx(0.5)
-        assert h.max() == pytest.approx(0.5)
-
-    def test_count_at_or_below(self):
-        h = BucketedHistogram(precision_bits=7)
-        for us in (10, 20, 30, 40):
-            h.record(us / 1e6)
-        assert h.count_at_or_below(25e-6) == 2
-        assert h.count_at_or_below(1.0) == 4
-        assert h.count_at_or_below(0.0) == 0
 
     def test_empty_raises(self):
         h = BucketedHistogram()
-        with pytest.raises(ValueError):
-            h.percentile(50)
-        with pytest.raises(ValueError):
-            h.mean()
-        with pytest.raises(ValueError):
-            h.max()
+        for p in (0, 50, 100):
+            with pytest.raises(ValueError):
+                h.percentile(p)
         with pytest.raises(ValueError):
             h.percentile(101)
 
@@ -118,7 +120,7 @@ class TestHistogramQueries:
             with pytest.raises(ValueError, match="finite and non-negative"):
                 h.record(latency, count)
         assert h.total == 1 and h.bucket_count == 1
-        assert h.max() == 0.002
+        assert h.percentile(100) == 0.002
         assert h.percentile(0) == pytest.approx(0.002, rel=0.01)
 
     def test_clear(self):
@@ -127,46 +129,6 @@ class TestHistogramQueries:
         h.clear()
         assert h.total == 0
         assert h.bucket_count == 0
-
-
-class TestRecorderBackends:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            LatencyRecorder(backend="tdigest")
-
-    def test_hdr_backend_counts_without_samples_list(self):
-        r = LatencyRecorder(backend="hdr")
-        for s in (0.001, 0.002, 0.003):
-            r.record(s)
-        assert len(r) == 3
-        assert r._samples == []  # samples never accumulate
-        assert r.mean() == pytest.approx(0.002, rel=0.01)
-
-    def test_summary_shape_matches_exact_backend(self):
-        exact = LatencyRecorder()
-        hdr = LatencyRecorder(backend="hdr")
-        for s in (0.001, 0.004, 0.009, 0.020):
-            exact.record(s)
-            hdr.record(s)
-        assert set(exact.summary()) == set(hdr.summary())
-        assert hdr.summary()["count"] == 4
-        assert hdr.snapshot()["max"] == pytest.approx(0.020)
-
-    def test_fraction_below_counts_errors_as_misses(self):
-        r = LatencyRecorder(backend="hdr")
-        r.record(0.001)
-        r.record(0.100)
-        r.record_error()
-        assert r.fraction_below(0.010) == pytest.approx(1 / 3)
-
-    def test_reset(self):
-        r = LatencyRecorder(backend="hdr")
-        r.record(0.5)
-        r.record_error()
-        r.reset()
-        assert len(r) == 0
-        assert r.errors == 0
-        assert r.snapshot()["count"] == 0
 
 
 class TestWindowedUse:
@@ -186,17 +148,16 @@ class TestWindowedUse:
         for p in (50.0, 95.0, 99.0, 100.0):
             assert reused.percentile(p) == fresh.percentile(p)
         assert reused.total == fresh.total == 3
-        assert reused.max() == fresh.max()
+        assert reused._counts == fresh._counts
 
     def test_empty_after_clear_raises_like_never_used(self):
         h = BucketedHistogram()
         h.record(0.5)
         h.clear()
-        with pytest.raises(ValueError):
-            h.percentile(95.0)
-        with pytest.raises(ValueError):
-            h.max()
-        assert h.count_at_or_below(1.0) == 0
+        for p in (95.0, 100.0):
+            with pytest.raises(ValueError):
+                h.percentile(p)
+        assert h.total == 0 and h.bucket_count == 0
 
     def test_single_sample_all_percentiles_equal(self):
         h = BucketedHistogram(precision_bits=7)
@@ -232,7 +193,7 @@ class TestWindowedUse:
     def test_error_only_window_recorder_summary(self):
         """A recorder that saw only errors (the error-only-window case)
         keeps a sane summary instead of raising."""
-        r = LatencyRecorder(backend="hdr")
+        r = LatencyRecorder()
         r.record_error()
         r.record_error()
         summary = r.summary()
@@ -242,49 +203,13 @@ class TestWindowedUse:
 
 
 def _hdr_answers(hist):
-    """A BucketedHistogram's counts and everything it answers with."""
+    """A BucketedHistogram's counts and everything it answers with
+    (``percentile(100)`` is the exact max)."""
     return (
         sorted(hist._counts.items()),
         hist.total,
-        hist.max(),
-        hist.mean(),
         [hist.percentile(p) for p in (0.0, 50.0, 90.0, 99.0, 99.9, 100.0)],
     )
-
-
-class TestMeanOrder:
-    """``mean()`` sums buckets in ascending order, so it depends on the
-    counts alone: not on which bucket was filled (or merged) first."""
-
-    @staticmethod
-    def _shuffled_stream(seed):
-        rng = random.Random(seed)
-        samples = [rng.lognormvariate(-6.0, 1.5) for _ in range(rng.randint(2, 60))]
-        rng.shuffle(samples)
-        return samples
-
-    def test_mean_survives_state_round_trip(self):
-        for seed in range(200):
-            recorder = LatencyRecorder(backend="hdr")
-            for s in self._shuffled_stream(seed):
-                recorder.record(s)
-            rebuilt = LatencyRecorder.from_state(recorder.mergeable_state())
-            assert rebuilt.mean() == recorder.mean(), seed
-
-    def test_mean_independent_of_merge_order(self):
-        for seed in range(200):
-            left = self._shuffled_stream(seed)
-            right = self._shuffled_stream(seed + 1000)
-
-            def hist(samples):
-                h = BucketedHistogram()
-                for s in samples:
-                    h.record(s)
-                return h
-
-            ab = hist(left).merge(hist(right))
-            ba = hist(right).merge(hist(left))
-            assert ab.mean() == ba.mean(), seed
 
 
 class TestCountedRecord:
@@ -302,11 +227,10 @@ class TestCountedRecord:
                 repeated.record(value)
         assert _hdr_answers(counted) == _hdr_answers(repeated)
 
-    @pytest.mark.parametrize("backend", ["exact", "hdr"])
-    def test_recorder_counted_equals_repeated(self, backend):
+    def test_recorder_counted_equals_repeated(self):
         rng = random.Random(3)
-        counted = LatencyRecorder(backend=backend)
-        repeated = LatencyRecorder(backend=backend)
+        counted = LatencyRecorder()
+        repeated = LatencyRecorder()
         for _ in range(50):
             value = rng.expovariate(1.0 / 0.002)
             n = rng.randint(1, 5)
@@ -318,7 +242,7 @@ class TestCountedRecord:
         assert counted.mergeable_state() == repeated.mergeable_state()
 
     def test_count_validated(self):
-        recorder = LatencyRecorder(backend="hdr")
+        recorder = LatencyRecorder()
         with pytest.raises(ValueError, match="count"):
             recorder.record(0.001, count=0)
         assert len(recorder) == 0

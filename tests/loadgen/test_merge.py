@@ -2,9 +2,9 @@
 
 The shard merge's central claim: ``merge(a, b)`` answers every query
 exactly as a recorder that saw the union stream (a's samples followed
-by b's) would.  These tests check that claim on randomized streams for
-both backends, plus the codec round-trip of the mergeable state that
-carries recorders between shard processes.
+by b's) would.  These tests check that claim on randomized streams,
+plus the codec round-trip of the mergeable state that carries
+recorders between shard processes.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import random
 import pytest
 
 from repro.exec.serialize import dict_from_bytes, dict_to_bytes
-from repro.loadgen.recorder import BucketedHistogram, LatencyRecorder
+from repro.loadgen.recorder import LatencyRecorder
 from repro.loadgen.windows import WindowedSloTracker
 
 
-def _record_stream(backend, stream, errors=0):
-    recorder = LatencyRecorder(backend=backend)
+def _record_stream(stream, errors=0):
+    recorder = LatencyRecorder()
     for value in stream:
         recorder.record(value)
     for _ in range(errors):
@@ -49,95 +49,55 @@ def _assert_equivalent(merged, union):
         assert merged.fraction_below(threshold) == union.fraction_below(threshold)
 
 
-@pytest.mark.parametrize("backend", ["exact", "hdr"])
 @pytest.mark.parametrize("seed", range(8))
-def test_merge_equals_union_stream(backend, seed):
+def test_merge_equals_union_stream(seed):
     rng = random.Random(seed)
     n_a, n_b = rng.randint(1, 400), rng.randint(1, 400)
     err_a, err_b = rng.randint(0, 5), rng.randint(0, 5)
     stream_a, stream_b = _stream(rng, n_a), _stream(rng, n_b)
 
-    a = _record_stream(backend, stream_a, err_a)
-    b = _record_stream(backend, stream_b, err_b)
-    # Union order matters only for float-sum accumulation (HDR mean):
-    # merge folds b's buckets after a's, matching a-then-b recording.
-    union = _record_stream(backend, stream_a + stream_b, err_a + err_b)
+    a = _record_stream(stream_a, err_a)
+    b = _record_stream(stream_b, err_b)
+    union = _record_stream(stream_a + stream_b, err_a + err_b)
     merged = a.merge(b)
     _assert_equivalent(merged, union)
     assert merged.summary() == union.summary()
 
 
-@pytest.mark.parametrize("backend", ["exact", "hdr"])
-def test_merge_empty_sides(backend):
+def test_merge_empty_sides():
     rng = random.Random(42)
     stream = _stream(rng, 50)
 
-    merged = _record_stream(backend, stream).merge(_record_stream(backend, []))
-    _assert_equivalent(merged, _record_stream(backend, stream))
+    merged = _record_stream(stream).merge(_record_stream([]))
+    _assert_equivalent(merged, _record_stream(stream))
 
-    merged = _record_stream(backend, []).merge(_record_stream(backend, stream))
-    _assert_equivalent(merged, _record_stream(backend, stream))
+    merged = _record_stream([]).merge(_record_stream(stream))
+    _assert_equivalent(merged, _record_stream(stream))
 
-    both = _record_stream(backend, [], errors=2).merge(
-        _record_stream(backend, [], errors=3)
-    )
+    both = _record_stream([], errors=2).merge(_record_stream([], errors=3))
     assert len(both) == 0 and both.errors == 5
     assert both.summary() == {"count": 0, "errors": 5}
 
 
-@pytest.mark.parametrize("backend", ["exact", "hdr"])
-def test_merge_negative_zero(backend):
-    # -0.0 passes the `latency < 0` check on both backends.
-    merged = _record_stream(backend, [-0.0, 0.001]).merge(
-        _record_stream(backend, [-0.0])
-    )
-    union = _record_stream(backend, [-0.0, 0.001, -0.0])
+def test_merge_negative_zero():
+    # -0.0 passes the non-negative check.
+    merged = _record_stream([-0.0, 0.001]).merge(_record_stream([-0.0]))
+    union = _record_stream([-0.0, 0.001, -0.0])
     _assert_equivalent(merged, union)
 
 
 def test_merge_exact_keeps_samples_sorted_without_resort():
-    a = _record_stream("exact", [0.003, 0.001, 0.002])
-    b = _record_stream("exact", [0.004, 0.0005])
+    a = _record_stream([0.003, 0.001, 0.002])
+    b = _record_stream([0.004, 0.0005])
     merged = a.merge(b)
     assert merged._samples == sorted(merged._samples)
     assert merged._sorted
 
 
-def test_merge_backend_mismatch_raises():
-    with pytest.raises(ValueError, match="backends"):
-        LatencyRecorder("exact").merge(LatencyRecorder("hdr"))
-    with pytest.raises(ValueError, match="backends"):
-        LatencyRecorder("hdr").merge(LatencyRecorder("exact"))
-
-
-def test_histogram_precision_mismatch_raises():
-    with pytest.raises(ValueError, match="precision"):
-        BucketedHistogram(precision_bits=7).merge(
-            BucketedHistogram(precision_bits=8)
-        )
-
-
 @pytest.mark.parametrize("seed", range(4))
-def test_histogram_merge_bucketwise(seed):
+def test_mergeable_state_round_trips_both_codecs(seed):
     rng = random.Random(seed)
-    a, b = BucketedHistogram(), BucketedHistogram()
-    union = BucketedHistogram()
-    for hist in (a, b):
-        for _ in range(rng.randint(1, 300)):
-            value = rng.expovariate(1.0 / 0.001)
-            hist.record(value)
-            union.record(value)
-    a.merge(b)
-    assert a._counts == union._counts
-    assert a.total == union.total
-    assert a.max() == union.max()
-
-
-@pytest.mark.parametrize("backend", ["exact", "hdr"])
-@pytest.mark.parametrize("seed", range(4))
-def test_mergeable_state_round_trips_both_codecs(backend, seed):
-    rng = random.Random(seed)
-    recorder = _record_stream(backend, _stream(rng, 200), errors=3)
+    recorder = _record_stream(_stream(rng, 200), errors=3)
     state = recorder.mergeable_state()
 
     # The state must survive both transports losslessly: the JSON text
@@ -153,12 +113,10 @@ def test_mergeable_state_round_trips_both_codecs(backend, seed):
 def test_mergeable_state_is_canonical():
     # Two recorders with identical content but different internal
     # insertion order must serialize identically (byte-determinism).
-    a = _record_stream("hdr", [0.001, 0.005, 0.002])
-    b = _record_stream("hdr", [0.002, 0.001, 0.005])
+    a = _record_stream([0.001, 0.005, 0.002], errors=1)
+    b = _record_stream([0.002, 0.001, 0.005], errors=1)
     assert a.mergeable_state() == b.mergeable_state()
-    c = _record_stream("exact", [0.003, 0.001])
-    d = _record_stream("exact", [0.001, 0.003])
-    assert c.mergeable_state() == d.mergeable_state()
+    assert a.mergeable_state() == {"errors": 1, "samples": [0.001, 0.002, 0.005]}
 
 
 def test_merge_window_series_counts_and_percentiles():

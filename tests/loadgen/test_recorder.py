@@ -37,15 +37,14 @@ class TestPercentiles:
         with pytest.raises(ValueError):
             LatencyRecorder().record(-0.1)
 
-    @pytest.mark.parametrize("backend", ["exact", "hdr"])
     @pytest.mark.parametrize(
         "latency", [math.nan, math.inf, -0.1], ids=["nan", "inf", "negative"]
     )
-    def test_unreportable_latency_rejected(self, latency, backend):
-        # A nan or inf sample would turn exact percentiles into nan, and
-        # the hdr backend cannot bucket either: refused before any state
-        # changes, so the recorder still answers from its good samples.
-        r = LatencyRecorder(backend)
+    def test_unreportable_latency_rejected(self, latency):
+        # A nan or inf sample would turn exact percentiles into nan:
+        # refused before any state changes, so the recorder still
+        # answers from its good samples.
+        r = LatencyRecorder()
         r.record(0.1)
         r.record(0.2)
         for count in (1, 3):
@@ -93,12 +92,12 @@ class TestSummary:
         s = LatencyRecorder().summary()
         assert s == {"count": 0, "errors": 0}
 
-    def test_error_rate(self):
+    def test_fraction_below_counts_errors_as_misses(self):
         r = LatencyRecorder()
-        r.record(1.0)
+        r.record(0.001)
+        r.record(0.100)
         r.record_error()
-        assert r.error_rate() == pytest.approx(0.5)
-        assert LatencyRecorder().error_rate() == 0.0
+        assert r.fraction_below(0.010) == pytest.approx(1 / 3)
 
     def test_reset(self):
         r = LatencyRecorder()
@@ -108,30 +107,3 @@ class TestSummary:
         assert len(r) == 0
         assert r.errors == 0
 
-
-class TestSnapshot:
-    def test_error_only_run_never_raises(self):
-        r = LatencyRecorder()
-        r.record_error()
-        r.record_error()
-        snap = r.snapshot()
-        assert snap["count"] == 0
-        assert snap["errors"] == 2
-        assert snap["mean"] == 0.0
-        assert snap["p95"] == 0.0
-        assert snap["max"] == 0.0
-
-    def test_empty_recorder_snapshot(self):
-        snap = LatencyRecorder().snapshot()
-        assert snap["count"] == 0
-        assert snap["errors"] == 0
-        assert set(snap) == {
-            "count", "errors", "mean", "p50", "p90", "p95", "p99", "max",
-        }
-
-    def test_matches_summary_with_samples(self):
-        r = LatencyRecorder()
-        for v in (0.1, 0.2, 0.3):
-            r.record(v)
-        r.record_error()
-        assert r.snapshot() == r.summary()

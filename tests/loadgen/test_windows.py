@@ -15,12 +15,11 @@ class FakeClock:
         return self.now
 
 
-def make_tracker(window=4, slo=0.1, clock=None, **kwargs):
+def make_tracker(window=4, slo=0.1, clock=None):
     return WindowedSloTracker(
         window_completions=window,
         slo_latency_s=slo,
         clock=clock or FakeClock(),
-        **kwargs,
     )
 
 
@@ -99,7 +98,8 @@ class TestWindowLifecycle:
 
     def test_observers_called_in_registration_order(self):
         order = []
-        tracker = make_tracker(window=1, on_window=lambda w: order.append("a"))
+        tracker = make_tracker(window=1)
+        tracker.subscribe(lambda w: order.append("a"))
         tracker.subscribe(lambda w: order.append("b"))
         tracker.on_complete(0.01)
         assert order == ["a", "b"]
@@ -124,7 +124,7 @@ class TestEdgeWindows:
         assert window.completions == 0
         assert window.errors == 3
         assert window.error_rate == 1.0
-        assert window.goodput_fraction == 0.0
+        assert window.slo_met == 0
         assert window.p50 == window.p95 == window.p99 == 0.0
 
     def test_single_sample_window_percentiles_agree(self):
@@ -147,7 +147,6 @@ class TestEdgeWindows:
         tracker = make_tracker()
         assert tracker.cumulative_percentile(95.0) == 0.0
         assert tracker.goodput_fraction() == 0.0
-        assert tracker.summary()["windows"] == 0.0
         assert tracker.window_series() == []
 
 
@@ -188,7 +187,8 @@ class TestResetAndCumulative:
 
     def test_reset_keeps_observers(self):
         closed = []
-        tracker = make_tracker(window=1, on_window=closed.append)
+        tracker = make_tracker(window=1)
+        tracker.subscribe(closed.append)
         tracker.on_complete(0.01)
         tracker.reset()
         tracker.on_complete(0.01)

@@ -21,7 +21,7 @@ FAST_SPEC = BlockDeviceSpec(
 def make_tree(config=None, on_stall=None, compaction_cpu=None, io_scale=1):
     env = Environment()
     device = BlockDevice(env, FAST_SPEC)
-    cache = LruCache(64 * 1024, clock=lambda: env.now)
+    cache = LruCache(64 * 1024)
     tree = LsmTree(
         env,
         device,

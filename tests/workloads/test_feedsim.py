@@ -5,6 +5,7 @@ import pytest
 from repro.loadgen.slo import SLO
 from repro.workloads.base import RunConfig
 from repro.workloads.feedsim import FEEDSIM_SLO, FeedSim
+from repro.workloads.scenarios import apply_fault_scenario
 
 
 @pytest.fixture(scope="module")
@@ -40,3 +41,22 @@ class TestFeedSim:
         small = FeedSim().run(quick("SKU1"))
         large = FeedSim().run(quick("SKU4"))
         assert large.throughput_rps > 2.5 * small.throughput_rps
+
+
+class TestProbe:
+    def test_error_rate_counts_every_finished_request(self):
+        """Under blackout most of a probe's requests fail; its error
+        rate is errors over successes plus errors, so it stays in
+        [0, 1]."""
+        config = apply_fault_scenario(
+            RunConfig(
+                sku_name="SKU2", seed=11, warmup_seconds=0.2, measure_seconds=0.5
+            ),
+            "blackout",
+        )
+        probe = FeedSim()._probe(config, 150.0)
+        count = probe.run.latency["count"]
+        errors = probe.run.latency["errors"]
+        assert errors > count > 0
+        assert probe.error_rate == errors / (count + errors)
+        assert 0.0 <= probe.error_rate <= 1.0

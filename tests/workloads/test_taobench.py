@@ -4,8 +4,11 @@ import gc
 
 import pytest
 
+from repro.cachelib.lru import LruCache
+from repro.cachelib.readthrough import ReadThroughCache
 from repro.exec.spec import RunPoint
 from repro.sim.engine import Process
+from repro.workloads import taobench
 from repro.workloads.base import RunConfig
 from repro.workloads.taobench import TaoBench, expected_hit_rate
 from tests.conftest import run_point
@@ -74,6 +77,40 @@ class TestWritePath:
         """Write-invalidate on 1% of traffic leaves the read hit rate
         in the TAO regime."""
         assert result.extra["cache_hit_rate"] > 0.80
+
+
+class TestCacheReads:
+    def test_one_lookup_per_read_request(self, monkeypatch):
+        """Each read request looks its key up once (``LruCache.get``),
+        only the sample wire-size response peeks, and the LRU's own hit
+        and miss counters equal the fast- and slow-path dispatches."""
+        calls = {"get": 0, "peek": 0}
+        for name in calls:
+
+            def counted(self, key, _original=getattr(LruCache, name), _name=name):
+                calls[_name] += 1
+                return _original(self, key)
+
+            monkeypatch.setattr(LruCache, name, counted)
+        caches = []
+
+        def capture(*args):
+            caches.append(ReadThroughCache(*args))
+            return caches[-1]
+
+        monkeypatch.setattr(taobench, "ReadThroughCache", capture)
+        TaoBench().run(
+            RunConfig(
+                sku_name="SKU2", seed=11, warmup_seconds=0.1, measure_seconds=0.2
+            )
+        )
+        (cache,) = caches
+        dispatch = cache.stats
+        lru = cache.server.cache.stats
+        assert dispatch.fast_path > 0 and dispatch.slow_path > 0
+        assert calls["peek"] == 1
+        assert calls["get"] == dispatch.total
+        assert (lru.hits, lru.misses) == (dispatch.fast_path, dispatch.slow_path)
 
 
 class TestProcessTeardown:

@@ -24,8 +24,10 @@ python -m pytest -x -q
 
 # The benchmark reaches into repro.exec by name (the pool's decode
 # call, SweepStats keys, the ledger); its own tests fail if one goes.
+# They run without PYTHONPATH: pytest's own pythonpath setting must be
+# enough to import repro.
 echo "== benchmark tests (bench/) =="
-python -m pytest -q bench
+env -u PYTHONPATH python -m pytest -q bench
 
 # One file per paper table, figure or ablation.  pytest's testpaths
 # cover only tests/, so nothing else runs these.
