@@ -293,7 +293,7 @@ def _cmd_faults(_args: argparse.Namespace) -> int:
     rows = []
     for name in fault_scenario_names():
         scenario = FAULT_SCENARIOS[name]
-        control = "yes" if scenario.control.enabled else "-"
+        control = "-" if scenario.control is None else "yes"
         load = (
             f"{scenario.load_multiplier:g}x"
             if scenario.load_multiplier != 1.0

@@ -209,7 +209,7 @@ class ResilienceHook(Hook):
 
     Reads the ``resilience_*`` counters the
     :class:`~repro.workloads.runner.BenchmarkHarness` attaches when a
-    run carries a resilience policy.  For fault-free runs the section
+    run carries a fault scenario.  For fault-free runs the section
     is simply ``{"enabled": False}`` so every report keeps the same
     shape.
     """
@@ -237,7 +237,7 @@ class ResilienceHook(Hook):
         slo_compliance = extra.get("resilience_slo_compliance", 1.0)
         return {
             "enabled": True,
-            "scenario": ctx.config.fault_scenario or "custom",
+            "scenario": ctx.config.scenario.name,
             "requests": requests,
             "error_rate": failures / requests if requests else 0.0,
             "retry_amplification": attempts / requests if requests else 1.0,
@@ -267,7 +267,7 @@ class SloControlHook(Hook):
 
     Reads the ``slo_*`` counters the
     :class:`~repro.workloads.runner.BenchmarkHarness` attaches when a
-    run carries an enabled
+    run's fault scenario carries a
     :class:`~repro.faults.control.SloControlPolicy`: windowed
     percentile signals, shed/admitted counts, admission rejections,
     brownout relief adjustments, and the goodput (completions meeting
@@ -285,7 +285,7 @@ class SloControlHook(Hook):
         shed = extra.get("slo_shed", 0.0)
         section: Dict[str, object] = {
             "enabled": True,
-            "scenario": ctx.config.fault_scenario or "custom",
+            "scenario": ctx.config.scenario.name,
             "windows": extra.get("slo_windows", 0.0),
             "window_completions": extra.get("slo_window_completions", 0.0),
             "slo_latency_ms": extra.get("slo_latency_s", 0.0) * 1000.0,

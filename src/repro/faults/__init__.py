@@ -3,14 +3,17 @@
 ``repro.faults`` models the permanent partial failure of production
 datacenters — degraded cores, throttled clocks, crash-restarts, lossy
 networks — as seed-scheduled simulation events, plus the client-side
-primitives (deadlines, retries, circuit breakers, hedging) that
-production services use to survive them.  Schedules ride inside
+primitives (deadlines, retries, circuit breakers, hedging) and the
+SLO control plane (shedding, admission caps, brownout) that production
+services use to survive them.  A
+:class:`~repro.workloads.scenarios.FaultScenario` bundles a schedule
+(a tuple of :class:`FaultSpec`) with a :class:`ResiliencePolicy` and
+an optional :class:`SloControlPolicy`; it rides whole on
 :class:`~repro.workloads.base.RunConfig`, so fault scenarios are part
 of a run's fingerprint and replay byte-identically.
 """
 
 from repro.faults.control import (
-    DISABLED_CONTROL,
     AdmissionController,
     BrownoutResponder,
     LoadShedder,
@@ -30,18 +33,12 @@ from repro.faults.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.resilience import (
-    DISABLED_POLICY,
     CircuitBreaker,
     ResiliencePolicy,
     ResilienceStats,
     ServiceClient,
 )
-from repro.faults.schedule import (
-    EMPTY_SCHEDULE,
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultSpec,
-)
+from repro.faults.schedule import FAULT_KINDS, FaultSpec
 
 __all__ = [
     "AdmissionController",
@@ -49,14 +46,10 @@ __all__ = [
     "BrownoutResponder",
     "CircuitBreaker",
     "CircuitOpenError",
-    "DISABLED_CONTROL",
-    "DISABLED_POLICY",
     "DeadlineExceededError",
-    "EMPTY_SCHEDULE",
     "FAULT_KINDS",
     "FaultError",
     "FaultInjector",
-    "FaultSchedule",
     "FaultSpec",
     "LoadShedder",
     "NetworkLossError",

@@ -9,7 +9,7 @@ by the :class:`~repro.loadgen.windows.WindowedSloTracker`'s
 completion-counted window signals:
 
 * :class:`LoadShedder` — CoDel-style target/interval control of a drop
-  probability: when the windowed control percentile stays above the
+  probability: when the windowed p95 stays above the
   target latency (or the window is error-saturated) for
   ``shed_interval_windows`` consecutive windows, the drop probability
   steps up; each healthy window decays it.  Per-request admission draws
@@ -28,40 +28,49 @@ completion-counted window signals:
 
 :class:`SloControlPlane` bundles the tracker and the three controllers
 behind one completion hook, which the
-:class:`~repro.workloads.runner.BenchmarkHarness` installs when a
-:class:`SloControlPolicy` is enabled on the run config.
+:class:`~repro.workloads.runner.BenchmarkHarness` installs when the
+run's fault scenario carries a :class:`SloControlPolicy`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.faults.errors import AdmissionRejectedError, RequestShedError
+from repro.faults.resilience import SLO_LATENCY_S
 from repro.loadgen.windows import WindowedSloTracker, WindowSnapshot
+
+
+#: Completions per control window: decisions close on completion
+#: counts, never wall time, so they are deterministic.
+WINDOW_COMPLETIONS = 100
+#: Ceiling on the shedder's drop probability.
+SHED_MAX_FRACTION = 0.95
+#: Service-demand reduction per brownout relief step (each step makes
+#: requests 25% cheaper: degraded serving / replica scale-out).
+BROWNOUT_RELIEF = 0.25
+#: Consecutive breached windows before relief steps up, and healthy
+#: windows before it steps back down.
+BROWNOUT_WINDOWS = 2
+#: Maximum relief steps (caps the degradation depth).
+BROWNOUT_MAX_STEPS = 2
 
 
 @dataclass(frozen=True)
 class SloControlPolicy:
-    """Per-scenario configuration of the in-run SLO control plane.
+    """Per-scenario knobs of the in-run SLO control plane.
 
-    ``window_completions`` sets the decision cadence (completions per
-    window — never wall time, so control decisions are deterministic);
-    ``slo_latency_s`` is the latency objective goodput is judged
-    against.  Each controller has its own enable flag so scenarios can
-    mix behaviors; a policy with ``enabled=False`` leaves the harness
-    byte-identical to a config without the field.
+    The load shedder always runs; the admission cap runs when
+    ``admit_max_inflight_per_instance > 0`` and brownout relief when
+    ``brownout_enabled``.  Windows close every
+    :data:`WINDOW_COMPLETIONS` completions, and goodput is judged
+    against :data:`~repro.faults.resilience.SLO_LATENCY_S`.
     """
 
-    enabled: bool = True
-    window_completions: int = 100
-    slo_latency_s: float = 0.1
     # -- load shedder (CoDel-style target/interval) -----------------------
-    shed_enabled: bool = True
-    #: Control signal: the windowed percentile compared to the target.
-    shed_percentile: float = 95.0
-    #: Target latency for the control percentile (the CoDel "target").
+    #: Target latency for the windowed p95 (the CoDel "target").
     shed_target_latency_s: float = 0.1
     #: Consecutive breached windows before the drop probability steps
     #: up (the CoDel "interval", counted in windows).
@@ -70,69 +79,32 @@ class SloControlPolicy:
     shed_step: float = 0.05
     #: Multiplicative decay applied by each healthy window.
     shed_decay: float = 0.5
-    #: Ceiling on the drop probability.
-    shed_max_fraction: float = 0.95
     #: A window whose error rate exceeds this is a breach even when its
     #: latency percentiles look fine (deadline-dominated overload turns
     #: queueing into timeouts, not into recorded latency).
     shed_error_rate_threshold: float = 0.25
     # -- admission control ------------------------------------------------
-    admit_enabled: bool = False
     #: In-flight requests one instance may hold; 0 disables the cap.
     admit_max_inflight_per_instance: int = 0
     # -- brownout responder -----------------------------------------------
     brownout_enabled: bool = False
-    #: Service-demand reduction per relief step (0.25 = each step makes
-    #: requests 25% cheaper: degraded serving / replica scale-out).
-    brownout_relief: float = 0.25
-    #: Consecutive breached windows before stepping relief up.
-    brownout_trigger_windows: int = 2
-    #: Consecutive healthy windows before stepping relief back down.
-    brownout_recover_windows: int = 2
-    #: Maximum relief steps (caps the degradation depth).
-    brownout_max_steps: int = 2
 
     def __post_init__(self) -> None:
-        if self.window_completions < 1:
-            raise ValueError("window_completions must be >= 1")
-        if self.slo_latency_s <= 0 or self.shed_target_latency_s <= 0:
-            raise ValueError("latency objectives must be positive")
-        if not 0.0 < self.shed_percentile <= 100.0:
-            raise ValueError("shed_percentile must be in (0, 100]")
+        if self.shed_target_latency_s <= 0:
+            raise ValueError("shed_target_latency_s must be positive")
         if self.shed_interval_windows < 1:
             raise ValueError("shed_interval_windows must be >= 1")
         if not 0.0 < self.shed_step <= 1.0:
             raise ValueError("shed_step must be in (0, 1]")
         if not 0.0 <= self.shed_decay < 1.0:
             raise ValueError("shed_decay must be in [0, 1)")
-        if not 0.0 < self.shed_max_fraction < 1.0:
-            raise ValueError("shed_max_fraction must be in (0, 1)")
         if not 0.0 <= self.shed_error_rate_threshold <= 1.0:
             raise ValueError("shed_error_rate_threshold must be in [0, 1]")
         if self.admit_max_inflight_per_instance < 0:
             raise ValueError("admit_max_inflight_per_instance must be >= 0")
-        if not 0.0 < self.brownout_relief < 1.0:
-            raise ValueError("brownout_relief must be in (0, 1)")
-        if self.brownout_trigger_windows < 1 or self.brownout_recover_windows < 1:
-            raise ValueError("brownout window counts must be >= 1")
-        if self.brownout_max_steps < 1:
-            raise ValueError("brownout_max_steps must be >= 1")
-
-    @classmethod
-    def disabled(cls) -> "SloControlPolicy":
-        """The no-op policy: the harness runs the untouched fast path."""
-        return cls(enabled=False)
 
     def as_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "SloControlPolicy":
-        return cls(**payload)  # type: ignore[arg-type]
-
-
-#: Shared default used by RunConfig (immutable, safe to share).
-DISABLED_CONTROL = SloControlPolicy.disabled()
 
 
 @dataclass
@@ -161,6 +133,18 @@ class SloControlStats:
             f"slo_{name}": float(getattr(self, name))
             for name in self.__dataclass_fields__
         }
+
+
+def _breached(
+    window: WindowSnapshot, policy: SloControlPolicy, target_s: float
+) -> bool:
+    """The controllers' breach rule: the window's error rate exceeds the
+    policy's threshold, or its p95 exceeds ``target_s``."""
+    if window.error_rate > policy.shed_error_rate_threshold:
+        return True
+    if window.completions == 0:
+        return False
+    return window.p95 > target_s
 
 
 class LoadShedder:
@@ -197,28 +181,16 @@ class LoadShedder:
             return True
         return self.rng.random() >= p
 
-    def _breached(self, window: WindowSnapshot) -> bool:
-        policy = self.policy
-        if window.error_rate > policy.shed_error_rate_threshold:
-            return True
-        if window.completions == 0:
-            return False
-        if policy.shed_percentile >= 95.0:
-            signal = window.p95 if policy.shed_percentile < 99.0 else window.p99
-        else:
-            signal = window.p50
-        return signal > policy.shed_target_latency_s
-
     def on_window(self, window: WindowSnapshot) -> None:
         policy = self.policy
         stats = self.stats
-        if self._breached(window):
+        if _breached(window, policy, policy.shed_target_latency_s):
             stats.breached_windows += 1
             self._breach_streak += 1
             if self._breach_streak >= policy.shed_interval_windows:
                 self._breach_streak = 0
                 self.drop_probability = min(
-                    policy.shed_max_fraction,
+                    SHED_MAX_FRACTION,
                     self.drop_probability + policy.shed_step,
                 )
                 stats.shed_steps += 1
@@ -282,10 +254,6 @@ class AdmissionController:
     def release(self, index: int) -> None:
         self._inflight[index] -= 1
 
-    @property
-    def total_inflight(self) -> int:
-        return sum(self._inflight)
-
 
 class BrownoutResponder:
     """Publishes service-demand relief while the SLO is breached.
@@ -306,7 +274,6 @@ class BrownoutResponder:
         "_targets",
         "_breach_streak",
         "_healthy_streak",
-        "adjustments",
     )
 
     def __init__(self, policy: SloControlPolicy, stats: SloControlStats) -> None:
@@ -316,8 +283,6 @@ class BrownoutResponder:
         self._targets: List[object] = []
         self._breach_streak = 0
         self._healthy_streak = 0
-        #: (window index, relief factor) audit trail of every adjustment.
-        self.adjustments: List[Tuple[int, float]] = []
 
     def attach(self, target) -> None:
         """Register a target exposing ``relief_speedup`` (late-attach safe)."""
@@ -327,54 +292,40 @@ class BrownoutResponder:
     @property
     def relief_factor(self) -> float:
         """Current burst speedup (>= 1.0; 1.0 = full-quality serving)."""
-        return (1.0 / (1.0 - self.policy.brownout_relief)) ** self.steps
+        return (1.0 / (1.0 - BROWNOUT_RELIEF)) ** self.steps
 
     def _publish(self) -> None:
         factor = self.relief_factor
         for target in self._targets:
             target.relief_speedup = factor
 
-    def _breached(self, window: WindowSnapshot) -> bool:
-        policy = self.policy
-        if window.error_rate > policy.shed_error_rate_threshold:
-            return True
-        if window.completions == 0:
-            return False
-        return window.p95 > policy.slo_latency_s
-
     def on_window(self, window: WindowSnapshot) -> None:
-        policy = self.policy
-        if self._breached(window):
+        if _breached(window, self.policy, SLO_LATENCY_S):
             self._healthy_streak = 0
             self._breach_streak += 1
             if (
-                self._breach_streak >= policy.brownout_trigger_windows
-                and self.steps < policy.brownout_max_steps
+                self._breach_streak >= BROWNOUT_WINDOWS
+                and self.steps < BROWNOUT_MAX_STEPS
             ):
                 self._breach_streak = 0
                 self.steps += 1
                 self.stats.brownout_activations += 1
-                self.adjustments.append((window.index, self.relief_factor))
                 self._publish()
         else:
             self._breach_streak = 0
             self._healthy_streak += 1
-            if (
-                self._healthy_streak >= policy.brownout_recover_windows
-                and self.steps > 0
-            ):
+            if self._healthy_streak >= BROWNOUT_WINDOWS and self.steps > 0:
                 self._healthy_streak = 0
                 self.steps -= 1
                 self.stats.brownout_recoveries += 1
-                self.adjustments.append((window.index, self.relief_factor))
                 self._publish()
 
 
 class SloControlPlane:
     """Tracker + shedder + admission + brownout behind one hook.
 
-    The harness constructs one per run when the config's
-    :class:`SloControlPolicy` is enabled, points the open-loop
+    The harness constructs one per run whose fault scenario carries a
+    :class:`SloControlPolicy`, points the open-loop
     generator's ``on_complete`` at :meth:`on_complete`, and wraps the
     workload handler with :meth:`wrap_handler` so admission decisions
     fire before any service work queues.
@@ -386,17 +337,15 @@ class SloControlPlane:
         rng: random.Random,
         clock: Callable[[], float],
     ) -> None:
-        self.policy = policy
         self.stats = SloControlStats()
         self.tracker = WindowedSloTracker(
-            window_completions=policy.window_completions,
-            slo_latency_s=policy.slo_latency_s,
+            window_completions=WINDOW_COMPLETIONS,
+            slo_latency_s=SLO_LATENCY_S,
             clock=clock,
         )
         self.shedder = LoadShedder(policy, rng, self.stats)
         self.admission = AdmissionController(
-            policy.admit_max_inflight_per_instance if policy.admit_enabled else 0,
-            self.stats,
+            policy.admit_max_inflight_per_instance, self.stats
         )
         self.brownout = BrownoutResponder(policy, self.stats)
         #: Rejections raised but not yet observed by ``on_complete``.
@@ -405,8 +354,7 @@ class SloControlPlane:
         #: before any other completion can interleave — the counter
         #: filters rejections out of the window signal exactly.
         self._pending_rejections = 0
-        if policy.shed_enabled:
-            self.tracker.subscribe(self.shedder.on_window)
+        self.tracker.subscribe(self.shedder.on_window)
         if policy.brownout_enabled:
             self.tracker.subscribe(self.brownout.on_window)
 
@@ -478,8 +426,8 @@ class SloControlPlane:
         tracker = self.tracker
         out: Dict[str, object] = self.stats.as_extra()
         out["slo_windows"] = float(tracker.windows_closed)
-        out["slo_window_completions"] = float(self.policy.window_completions)
-        out["slo_latency_s"] = self.policy.slo_latency_s
+        out["slo_window_completions"] = float(WINDOW_COMPLETIONS)
+        out["slo_latency_s"] = SLO_LATENCY_S
         out["slo_completions"] = float(tracker.completions)
         out["slo_errors"] = float(tracker.errors)
         out["slo_met"] = float(tracker.slo_met)

@@ -1,14 +1,14 @@
 """Seed-scheduled fault injection as first-class simulation events.
 
-The :class:`FaultInjector` turns a :class:`~repro.faults.schedule.FaultSchedule`
-into ordinary engine events: each fault becomes a process that sleeps
-until its onset, applies its effect, sleeps for its duration, and
-reverts it.  Because the engine is deterministic and every stochastic
-choice (network loss) draws from a named RNG stream, the same seed and
-schedule replay byte-identically — serial or parallel, today or next
-month.
+The :class:`FaultInjector` turns a fault schedule (a tuple of
+:class:`~repro.faults.schedule.FaultSpec`) into ordinary engine events:
+each fault becomes a process that sleeps until its onset, applies its
+effect, sleeps for its duration, and reverts it.  Because the engine is
+deterministic and every stochastic choice (network loss) draws from a
+named RNG stream, the same seed and schedule replay byte-identically —
+serial or parallel, today or next month.
 
-Effects fall into three channels:
+Effects fall into four channels:
 
 * **CPU channel** — ``server_slowdown``, ``freq_throttle``,
   ``mem_pressure``, and ``cache_flush`` all resolve to a multiplicative
@@ -22,7 +22,8 @@ Effects fall into three channels:
   (:meth:`FaultInjector.restarted` fires then).  In-flight bursts
   complete — a crash-restart drains, it does not corrupt.
 * **Network channel** — ``net_latency`` and ``net_loss`` publish the
-  current extra delay and drop probability; the
+  sum of the active faults' extra delays and drop probabilities (the
+  latter capped at 0.999); the
   :class:`~repro.faults.resilience.ServiceClient` consults them on
   every attempt.
 * **Device channel** — ``disk_degraded`` publishes a multiplicative
@@ -37,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.faults.schedule import FaultSchedule, FaultSpec
+from repro.faults.schedule import FaultSpec
 from repro.sim.engine import Environment, Event
 
 #: Frequency throttling never clocks below this fraction of the
@@ -59,7 +60,7 @@ class FaultInjector:
     def __init__(
         self,
         env: Environment,
-        schedule: FaultSchedule,
+        schedule: Tuple[FaultSpec, ...],
         scheduler,
         rng: random.Random,
         window_start: float,
@@ -83,6 +84,8 @@ class FaultInjector:
         self._slowdowns: Dict[object, float] = {}
         self._throttles: Dict[int, float] = {}
         self._disk_faults: Dict[int, float] = {}
+        self._net_delays: Dict[int, float] = {}
+        self._net_losses: Dict[int, float] = {}
         self._devices: List[object] = []
         self._crashes = 0
         self._restarted: Optional[Event] = None
@@ -91,11 +94,16 @@ class FaultInjector:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
-        """Schedule every fault as a simulation process (idempotent)."""
+        """Schedule every fault as a simulation process (idempotent).
+
+        Faults start in onset order; the sort is stable, so schedule
+        order breaks ties.
+        """
         if self._started:
             return
         self._started = True
-        for index, fault in enumerate(self.schedule.sorted_by_start()):
+        by_onset = sorted(self.schedule, key=lambda fault: fault.start_frac)
+        for index, fault in enumerate(by_onset):
             self.env.process(self._drive(index, fault))
 
     def _drive(self, index: int, fault: FaultSpec):
@@ -127,9 +135,11 @@ class FaultInjector:
             self._crashes += 1
             self.scheduler.offline = True
         elif kind == "net_latency":
-            self.net_delay_s += fault.magnitude
+            self._net_delays[index] = fault.magnitude
+            self._publish_network()
         elif kind == "net_loss":
-            self.net_loss_p = min(0.999, self.net_loss_p + fault.magnitude)
+            self._net_losses[index] = fault.magnitude
+            self._publish_network()
         elif kind == "disk_degraded":
             self._disk_faults[index] = fault.magnitude
             self._publish_disk_slowdown()
@@ -148,10 +158,10 @@ class FaultInjector:
                 if self._restarted is not None:
                     self._restarted.succeed()
                     self._restarted = None
-        elif kind == "net_latency":
-            self.net_delay_s = max(0.0, self.net_delay_s - fault.magnitude)
-        elif kind == "net_loss":
-            self.net_loss_p = max(0.0, self.net_loss_p - fault.magnitude)
+        elif kind in ("net_latency", "net_loss"):
+            self._net_delays.pop(index, None)
+            self._net_losses.pop(index, None)
+            self._publish_network()
         elif kind == "disk_degraded":
             self._disk_faults.pop(index, None)
             self._publish_disk_slowdown()
@@ -233,6 +243,10 @@ class FaultInjector:
             device.fault_slowdown = product
 
     # -- network channel -------------------------------------------------------
+    def _publish_network(self) -> None:
+        self.net_delay_s = sum(self._net_delays.values(), 0.0)
+        self.net_loss_p = min(0.999, sum(self._net_losses.values(), 0.0))
+
     def drops_attempt(self) -> bool:
         """Deterministically decide whether this attempt is lost."""
         return self.net_loss_p > 0.0 and self.rng.random() < self.net_loss_p

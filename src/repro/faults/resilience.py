@@ -5,7 +5,7 @@ carries a deadline, failed calls retry with exponential backoff and
 jitter, sustained failure trips a circuit breaker, and tail-sensitive
 services hedge slow requests.  :class:`ServiceClient` packages those
 four primitives around any simulated piece of work (a handler
-generator), each toggleable through :class:`ResiliencePolicy`, and
+generator), tuned per scenario by :class:`ResiliencePolicy`, and
 accounts for everything in :class:`ResilienceStats` — the raw material
 of the ``resilience`` report hook.
 
@@ -33,60 +33,44 @@ from repro.sim.engine import Environment, Process
 from repro.sim.events import any_of
 
 
+#: Every attempt's deadline, in simulated seconds.
+DEADLINE_S = 0.5
+#: The k-th retry backs off ``backoff_base_s * BACKOFF_MULTIPLIER **
+#: (k - 1)`` seconds, stretched by a uniform draw of up to JITTER_FRAC.
+BACKOFF_MULTIPLIER = 2.0
+JITTER_FRAC = 0.5
+#: The per-request latency objective: the ``resilience`` hook reports
+#: compliance against it and the SLO control plane judges goodput by it.
+SLO_LATENCY_S = 0.1
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Per-scenario configuration of every client-side primitive.
+    """Per-scenario knobs of the client-side primitives.
 
-    Zero (or ``None``-like) values disable the corresponding feature:
-    ``deadline_s=0`` means no deadline, ``max_retries=0`` means one
-    attempt only, ``hedge_delay_s=0`` disables hedging, and
-    ``breaker_failure_threshold=0`` disables the circuit breaker.
-    ``slo_latency_s`` is the per-request latency objective the
-    ``resilience`` hook reports compliance against.
+    ``max_retries=0`` means one attempt only and ``hedge_delay_s=0``
+    disables hedging; a hedge must fire before the :data:`DEADLINE_S`
+    deadline every attempt carries.
     """
 
-    enabled: bool = True
-    deadline_s: float = 0.25
     max_retries: int = 2
     backoff_base_s: float = 0.002
-    backoff_multiplier: float = 2.0
-    jitter_frac: float = 0.5
     breaker_failure_threshold: int = 10
     breaker_reset_s: float = 0.05
     hedge_delay_s: float = 0.0
-    slo_latency_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.deadline_s < 0 or self.backoff_base_s < 0:
+        if self.backoff_base_s < 0 or self.breaker_reset_s < 0:
             raise ValueError("durations must be non-negative")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1.0")
-        if not 0.0 <= self.jitter_frac <= 1.0:
-            raise ValueError("jitter_frac must be in [0, 1]")
-        if self.breaker_failure_threshold < 0 or self.breaker_reset_s < 0:
-            raise ValueError("breaker parameters must be non-negative")
-        if self.hedge_delay_s < 0:
-            raise ValueError("hedge_delay_s must be non-negative")
-        if self.slo_latency_s <= 0:
-            raise ValueError("slo_latency_s must be positive")
-
-    @classmethod
-    def disabled(cls) -> "ResiliencePolicy":
-        """The no-op policy: calls pass straight through."""
-        return cls(enabled=False)
+        if self.breaker_failure_threshold < 1:
+            raise ValueError("breaker_failure_threshold must be >= 1")
+        if not 0.0 <= self.hedge_delay_s < DEADLINE_S:
+            raise ValueError(f"hedge_delay_s must be in [0, {DEADLINE_S})")
 
     def as_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ResiliencePolicy":
-        return cls(**payload)  # type: ignore[arg-type]
-
-
-#: Shared default used by RunConfig (immutable, safe to share).
-DISABLED_POLICY = ResiliencePolicy.disabled()
 
 
 @dataclass
@@ -123,8 +107,7 @@ class CircuitBreaker:
     After ``failure_threshold`` consecutive failures the breaker opens
     and rejects calls for ``reset_s`` simulated seconds; the first call
     after that window is a half-open probe — success closes the
-    breaker, failure re-opens it for another window.  A threshold of 0
-    disables the breaker entirely.
+    breaker, failure re-opens it for another window.
     """
 
     def __init__(self, env: Environment, failure_threshold: int, reset_s: float) -> None:
@@ -134,7 +117,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
         self._probing = False
-        self.times_opened = 0
 
     @property
     def state(self) -> str:
@@ -146,8 +128,6 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May a call proceed right now?"""
-        if self.failure_threshold <= 0:
-            return True
         state = self.state
         if state == "closed":
             return True
@@ -164,17 +144,14 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         self.consecutive_failures += 1
         self._probing = False
-        if (
-            self.failure_threshold > 0
-            and self.consecutive_failures >= self.failure_threshold
-        ):
-            if self.opened_at is None:
-                self.times_opened += 1
+        if self.consecutive_failures >= self.failure_threshold:
             self.opened_at = self.env.now
 
 
 #: A unit of client work: a zero-argument generator factory.
 Work = Callable[[], Generator]
+
+_DEADLINE_MESSAGE = f"deadline of {DEADLINE_S}s exceeded"
 
 
 class ServiceClient:
@@ -234,9 +211,9 @@ class ServiceClient:
             attempt_index += 1
             stats.retries += 1
             backoff = policy.backoff_base_s * (
-                policy.backoff_multiplier ** (attempt_index - 1)
+                BACKOFF_MULTIPLIER ** (attempt_index - 1)
             )
-            backoff *= 1.0 + policy.jitter_frac * self.rng.random()
+            backoff *= 1.0 + JITTER_FRAC * self.rng.random()
             if backoff > 0:
                 yield self.env.sleep(backoff)
 
@@ -262,7 +239,7 @@ class ServiceClient:
         yield from work()
 
     def _attempt(self, work: Work) -> Generator:
-        """One attempt: primary, optional hedge, optional deadline.
+        """One attempt: primary, optional hedge, and the deadline.
 
         Raises :class:`DeadlineExceededError` on timeout and re-raises
         the primary's failure otherwise.  Losing/abandoned attempt
@@ -271,41 +248,26 @@ class ServiceClient:
         real server performs for an abandoned request.
         """
         env = self.env
-        policy = self.policy
         self.stats.attempts += 1
         primary = env.process(self._attempt_once(work))
         contenders = [primary]
-        deadline = (
-            env.timeout(policy.deadline_s, "deadline")
-            if policy.deadline_s > 0
-            else None
-        )
-        hedge_after = policy.hedge_delay_s
-        use_hedge = 0 < hedge_after and (
-            deadline is None or hedge_after < policy.deadline_s
-        )
+        deadline = env.timeout(DEADLINE_S, "deadline")
+        hedge_after = self.policy.hedge_delay_s
         try:
-            if use_hedge:
-                races = [primary, env.timeout(hedge_after, "hedge")]
-                if deadline is not None:
-                    races.append(deadline)
+            if hedge_after > 0:
+                races = [primary, env.timeout(hedge_after, "hedge"), deadline]
                 index, _ = yield any_of(env, races)
                 if index == 0:
                     return  # primary finished before the hedge fired
                 if index == 2:
-                    raise DeadlineExceededError(
-                        f"deadline of {policy.deadline_s}s exceeded"
-                    )
+                    raise DeadlineExceededError(_DEADLINE_MESSAGE)
                 # Hedge timer fired: launch the backup request.
                 self.stats.hedges += 1
                 self.stats.attempts += 1
                 secondary = env.process(self._attempt_once(work))
                 contenders.append(secondary)
-                races = [primary, secondary]
-                if deadline is not None:
-                    races.append(deadline)
                 try:
-                    index, _ = yield any_of(env, races)
+                    index, _ = yield any_of(env, [primary, secondary, deadline])
                 except FaultError:
                     # One branch died; the attempt survives as long as
                     # the other is still running (hedging tolerates a
@@ -315,32 +277,20 @@ class ServiceClient:
                     )
                     if survivor is None:
                         raise
-                    races = [survivor]
-                    if deadline is not None:
-                        races.append(deadline)
-                    index, _ = yield any_of(env, races)
+                    index, _ = yield any_of(env, [survivor, deadline])
                     if index == 1:
-                        raise DeadlineExceededError(
-                            f"deadline of {policy.deadline_s}s exceeded"
-                        )
+                        raise DeadlineExceededError(_DEADLINE_MESSAGE)
                     if survivor is secondary:
                         self.stats.hedge_wins += 1
                     return
                 if index == 2:
-                    raise DeadlineExceededError(
-                        f"deadline of {policy.deadline_s}s exceeded"
-                    )
+                    raise DeadlineExceededError(_DEADLINE_MESSAGE)
                 if index == 1:
                     self.stats.hedge_wins += 1
                 return
-            if deadline is not None:
-                index, _ = yield any_of(env, [primary, deadline])
-                if index == 1:
-                    raise DeadlineExceededError(
-                        f"deadline of {policy.deadline_s}s exceeded"
-                    )
-                return
-            yield primary
+            index, _ = yield any_of(env, [primary, deadline])
+            if index == 1:
+                raise DeadlineExceededError(_DEADLINE_MESSAGE)
         finally:
             for proc in contenders:
                 self._abandon(proc)

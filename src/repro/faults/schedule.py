@@ -1,11 +1,11 @@
 """Deterministic fault schedules.
 
-A :class:`FaultSchedule` is an ordered, immutable list of
-:class:`FaultSpec` entries describing *when* (as fractions of the
-measurement window, so one schedule is meaningful for any
-``measure_seconds``) and *what* goes wrong on the simulated machine.
-Schedules travel inside :class:`~repro.workloads.base.RunConfig`, are
-digested into the run fingerprint, and are replayed by the
+A fault schedule is a tuple of :class:`FaultSpec` entries describing
+*when* (as fractions of the measurement window, so one schedule is
+meaningful for any ``measure_seconds``) and *what* goes wrong on the
+simulated machine.  Schedules travel inside a
+:class:`~repro.workloads.scenarios.FaultScenario`, are digested into
+the run fingerprint, and are replayed by the
 :class:`~repro.faults.injector.FaultInjector` as ordinary simulation
 events — so the same seed and schedule produce byte-identical reports,
 serial or parallel.
@@ -27,7 +27,7 @@ Magnitude semantics per kind:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict
 
 #: Every fault kind the injector understands.
 FAULT_KINDS = (
@@ -83,58 +83,3 @@ class FaultSpec:
 
     def as_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultSpec":
-        return cls(**payload)  # type: ignore[arg-type]
-
-
-@dataclass(frozen=True)
-class FaultSchedule:
-    """An immutable, hashable sequence of faults.
-
-    Empty schedules are falsy, so ``if config.faults:`` reads naturally.
-    """
-
-    faults: Tuple[FaultSpec, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.faults, tuple):
-            object.__setattr__(self, "faults", tuple(self.faults))
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    def __iter__(self) -> Iterator[FaultSpec]:
-        return iter(self.faults)
-
-    def sorted_by_start(self) -> List[FaultSpec]:
-        """Faults ordered by onset time (schedule order breaks ties)."""
-        return sorted(self.faults, key=lambda f: f.start_frac)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"faults": [f.as_dict() for f in self.faults]}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "FaultSchedule":
-        specs = payload.get("faults", [])
-        return cls(faults=tuple(FaultSpec.from_dict(dict(s)) for s in specs))
-
-    @classmethod
-    def of(cls, *faults: FaultSpec) -> "FaultSchedule":
-        return cls(faults=tuple(faults))
-
-
-#: The shared "no faults" schedule used as the RunConfig default.
-EMPTY_SCHEDULE = FaultSchedule()
-
-
-def merge(schedules: Sequence[FaultSchedule]) -> FaultSchedule:
-    """Concatenate schedules (the injector orders by start time)."""
-    out: List[FaultSpec] = []
-    for schedule in schedules:
-        out.extend(schedule.faults)
-    return FaultSchedule(faults=tuple(out))

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.faults.control import DISABLED_CONTROL, SloControlPolicy
-from repro.faults.resilience import DISABLED_POLICY, ResiliencePolicy
-from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule
 from repro.hw.sku import ServerSku, get_sku
 from repro.oskernel.kernel import KernelVersion, get_kernel
 from repro.uarch.characteristics import WorkloadCharacteristics
 from repro.uarch.projection import SteadyState
+
+if TYPE_CHECKING:  # deferred: repro.workloads.scenarios imports RunConfig
+    from repro.workloads.scenarios import FaultScenario
 
 
 @dataclass(frozen=True)
@@ -25,20 +25,16 @@ class RunConfig:
     for is the workload's own choice, not the run's (see
     :class:`~repro.workloads.runner.BenchmarkHarness`).
 
-    ``faults`` is the deterministic fault schedule the harness replays
-    during the measurement window and ``resilience`` the client-side
-    policy (deadlines, retries, breaker, hedging) active for the run;
-    both default to no-op so fault-free runs are untouched.
-    ``fault_scenario`` carries the named scenario (if any) for
-    reporting — the schedule/policy pair are what actually executes.
-
-    ``slo_control`` opts the run into the continuous in-run SLO
-    control plane: a windowed percentile tracker plus the SLO-triggered
-    behaviors it drives (load shedding, per-instance admission caps,
-    brownout relief — see :mod:`repro.faults.control`).  It defaults to
-    disabled so the plain golden path is untouched; control
-    runs never stop early (shedding makes their windows deliberately
-    non-stationary, like fault runs).
+    ``scenario`` is the run's
+    :class:`~repro.workloads.scenarios.FaultScenario`, whole: the
+    harness replays its fault schedule during the measurement window,
+    sends every request through its client-side resilience policy
+    (deadline, retries, breaker, hedging), and, when it has one, runs
+    its in-run SLO control plane (load shedding, per-instance admission
+    caps, brownout relief — see :mod:`repro.faults.control`).  The
+    default ``None`` leaves the run fault-free.  Runs with a scenario
+    never stop early: faults and shedding make their windows
+    deliberately non-stationary.
 
     ``shards``/``shard_index`` implement intra-run sharding: a run with
     ``shards=N`` is executed as N statistically-independent shard
@@ -55,8 +51,7 @@ class RunConfig:
     :class:`~repro.workloads.runner.ConvergenceMonitor`).  It defaults
     to off so directly constructed configs reproduce the full fixed
     window byte-for-byte; the CLI and sweep tools enable it unless
-    ``--no-early-stop`` is given.  Fault-injection runs never stop
-    early: their windows are deliberately non-stationary.
+    ``--no-early-stop`` is given.
     """
 
     sku_name: str = "SKU2"
@@ -65,10 +60,7 @@ class RunConfig:
     warmup_seconds: float = 0.5
     measure_seconds: float = 2.0
     load_scale: float = 1.0
-    faults: FaultSchedule = EMPTY_SCHEDULE
-    resilience: ResiliencePolicy = DISABLED_POLICY
-    fault_scenario: str = ""
-    slo_control: SloControlPolicy = DISABLED_CONTROL
+    scenario: Optional[FaultScenario] = None
     early_stop: bool = False
     shards: int = 1
     shard_index: int = -1

@@ -23,7 +23,7 @@ from typing import Callable, Deque, Dict, Generator, Optional, Tuple
 
 from repro.faults.control import SloControlPlane
 from repro.faults.injector import FaultInjector
-from repro.faults.resilience import ResilienceStats, ServiceClient
+from repro.faults.resilience import SLO_LATENCY_S, ResilienceStats, ServiceClient
 from repro.loadgen.windows import WindowedSloTracker
 from repro.loadgen.generators import Handler, OpenLoopGenerator, Request
 from repro.loadgen.recorder import LatencyRecorder
@@ -285,31 +285,33 @@ class BenchmarkHarness:
         self.rng = RngStreams(config.seed).spawn(chars.name)
         self.timeline: list = []
         self.injector: Optional[FaultInjector] = None
-        if config.faults:
+        self.resilience_stats = ResilienceStats()
+        self.client: Optional[ServiceClient] = None
+        self.control: Optional[SloControlPlane] = None
+        scenario = config.scenario
+        if scenario is None:
+            return
+        if scenario.schedule:
             self.injector = FaultInjector(
                 env=self.env,
-                schedule=config.faults,
+                schedule=scenario.schedule,
                 scheduler=self.scheduler,
                 rng=self.rng.stream("faults"),
                 window_start=config.warmup_seconds,
                 window_seconds=config.measure_seconds,
                 memory_intensity=self._memory_intensity(chars),
             )
-        self.resilience_stats = ResilienceStats()
-        self.client: Optional[ServiceClient] = None
-        if config.resilience.enabled:
-            self.client = ServiceClient(
-                env=self.env,
-                policy=config.resilience,
-                rng=self.rng.stream("resilience"),
-                injector=self.injector,
-                stats=self.resilience_stats,
-            )
-        self.control: Optional[SloControlPlane] = None
-        if config.slo_control.enabled:
+        self.client = ServiceClient(
+            env=self.env,
+            policy=scenario.policy,
+            rng=self.rng.stream("resilience"),
+            injector=self.injector,
+            stats=self.resilience_stats,
+        )
+        if scenario.control is not None:
             env = self.env
             self.control = SloControlPlane(
-                policy=config.slo_control,
+                policy=scenario.control,
                 rng=self.rng.stream("slo-control"),
                 clock=lambda: env.now,
             )
@@ -389,13 +391,13 @@ class BenchmarkHarness:
         ``offered_rps`` is in production requests/s; the generator
         issues ``offered_rps / batch`` simulated arrivals per second.
 
-        When the run config carries a resilience policy, every request
+        When the run config carries a fault scenario, every request
         goes through the :class:`~repro.faults.resilience.ServiceClient`
-        pipeline; when it carries a fault schedule, the injector starts
-        before warmup so fault onsets (fractions of the measurement
-        window) land deterministically.
+        pipeline; when the scenario has a fault schedule, the injector
+        starts before warmup so fault onsets (fractions of the
+        measurement window) land deterministically.
 
-        With ``config.early_stop`` set (and no fault schedule), a
+        With ``config.early_stop`` set (and no fault scenario), a
         :class:`ConvergenceMonitor` watches completions during the
         measurement window and ends the run at the first converged
         window boundary; throughput and goodput then normalize by the
@@ -430,15 +432,11 @@ class BenchmarkHarness:
         self.env.process(self._sampler())
         completed_before = generator.completed
         monitor = None
-        if (
-            self.config.early_stop
-            and self.injector is None
-            and self.control is None
-        ):
+        if self.config.early_stop and self.config.scenario is None:
             # Armed only for the measurement window: warmup completions
-            # must not seed the convergence windows.  Control-plane runs
-            # never arm it — shedding makes their windows deliberately
-            # non-stationary, exactly like fault runs.
+            # must not seed the convergence windows.  Scenario runs
+            # never arm it — faults and shedding make their windows
+            # deliberately non-stationary.
             monitor = ConvergenceMonitor(self.env)
             generator.on_complete = monitor.on_complete
         measure_start = self.env.now
@@ -514,10 +512,9 @@ class BenchmarkHarness:
             result.extra["resilience_goodput_rps"] = (
                 stats.successes * self.batch / elapsed
             )
-            slo = self.client.policy.slo_latency_s
-            result.extra["resilience_slo_latency_s"] = slo
+            result.extra["resilience_slo_latency_s"] = SLO_LATENCY_S
             result.extra["resilience_slo_compliance"] = self.recorder.fraction_below(
-                slo
+                SLO_LATENCY_S
             )
         if self.injector is not None:
             result.extra["fault_events_applied"] = float(

@@ -9,6 +9,11 @@ scenario, not by TDP.  The scenario runner executes a workload at its
 normal operating point and again at the post-failover load, and reports
 what procurement needs: the spike's power draw (is it within budget?)
 and its SLO behaviour (does the service survive?).
+
+Named fault scenarios: a :class:`FaultScenario` is one value (a fault
+schedule, a resilience policy, an optional SLO control policy and a
+load multiplier) that a run carries whole as ``RunConfig.scenario``;
+:data:`FAULT_SCENARIOS` registers the ones the CLI names.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.faults.control import DISABLED_CONTROL, SloControlPolicy
+from repro.faults.control import SloControlPolicy
 from repro.faults.resilience import ResiliencePolicy
-from repro.faults.schedule import EMPTY_SCHEDULE, FaultSchedule, FaultSpec
+from repro.faults.schedule import FaultSpec
 from repro.hw.tco import budgeted_power_w
 from repro.workloads.base import RunConfig, Workload, WorkloadResult
 
@@ -106,28 +111,34 @@ class FaultScenario:
     :class:`~repro.exec.spec.RunPoint` as a string, and is digested
     into the run fingerprint via the registry below — renaming or
     re-tuning a scenario invalidates cached results, exactly as a code
-    change would.
+    change would.  A scenario built outside the registry runs the same
+    way: pass it whole as ``RunConfig(scenario=...)``.
 
+    ``schedule`` is a tuple of fault specs (empty for pure overload);
     ``control`` opts the scenario into the in-run SLO control plane
-    (windowed tracking + shedding/admission/brownout behaviors);
-    ``load_multiplier`` scales the run's offered load, letting pure
-    overload scenarios exist without any hardware fault at all.
+    (windowed tracking + shedding/admission/brownout behaviors), and
+    ``None`` leaves it off; ``load_multiplier`` scales the run's
+    offered load, letting pure overload scenarios exist without any
+    hardware fault at all.  The harness never reads it:
+    :func:`apply_fault_scenario` multiplies it into
+    ``RunConfig.load_scale``, and a config built directly sets
+    ``load_scale`` itself.
     """
 
     name: str
     description: str
-    schedule: FaultSchedule
+    schedule: Tuple[FaultSpec, ...]
     policy: ResiliencePolicy
-    control: SloControlPolicy = DISABLED_CONTROL
+    control: Optional[SloControlPolicy] = None
     load_multiplier: float = 1.0
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "description": self.description,
-            "schedule": self.schedule.as_dict(),
+            "schedule": [spec.as_dict() for spec in self.schedule],
             "policy": self.policy.as_dict(),
-            "control": self.control.as_dict(),
+            "control": None if self.control is None else self.control.as_dict(),
             "load_multiplier": self.load_multiplier,
         }
 
@@ -144,16 +155,11 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "Thermal brownout: the clock loses 35% for half the "
                 "window while a co-tenant leans on the memory subsystem."
             ),
-            schedule=FaultSchedule.of(
+            schedule=(
                 FaultSpec("freq_throttle", 0.20, 0.50, 0.35),
                 FaultSpec("mem_pressure", 0.40, 0.40, 0.50),
             ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=1,
-                hedge_delay_s=0.0,
-                slo_latency_s=0.1,
-            ),
+            policy=ResiliencePolicy(max_retries=1),
         ),
         FaultScenario(
             name="blackout",
@@ -161,16 +167,12 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "Crash-restart: the server refuses work for 15% of the "
                 "window; clients ride it out with retries and a breaker."
             ),
-            schedule=FaultSchedule.of(
-                FaultSpec("server_crash", 0.30, 0.15),
-            ),
+            schedule=(FaultSpec("server_crash", 0.30, 0.15),),
             policy=ResiliencePolicy(
-                deadline_s=0.5,
                 max_retries=3,
                 backoff_base_s=0.01,
                 breaker_failure_threshold=20,
                 breaker_reset_s=0.1,
-                slo_latency_s=0.1,
             ),
         ),
         FaultScenario(
@@ -179,16 +181,11 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "Lossy, slow network: 2ms extra latency and 5% attempt "
                 "loss for most of the window; hedging covers the tail."
             ),
-            schedule=FaultSchedule.of(
+            schedule=(
                 FaultSpec("net_latency", 0.20, 0.70, 0.002),
                 FaultSpec("net_loss", 0.20, 0.70, 0.05),
             ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=2,
-                hedge_delay_s=0.02,
-                slo_latency_s=0.1,
-            ),
+            policy=ResiliencePolicy(hedge_delay_s=0.02),
         ),
         FaultScenario(
             name="disk_degraded",
@@ -198,14 +195,8 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "block cache stops absorbing misses, and write stalls "
                 "surface in foreground p99."
             ),
-            schedule=FaultSchedule.of(
-                FaultSpec("disk_degraded", 0.20, 0.60, 4.0),
-            ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=1,
-                slo_latency_s=0.1,
-            ),
+            schedule=(FaultSpec("disk_degraded", 0.20, 0.60, 4.0),),
+            policy=ResiliencePolicy(max_retries=1),
         ),
         FaultScenario(
             name="brownout_degraded_disk",
@@ -215,31 +206,13 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "control plane sheds load and browns out serving "
                 "quality until the SLO recovers."
             ),
-            schedule=FaultSchedule.of(
+            schedule=(
                 FaultSpec("freq_throttle", 0.15, 0.55, 0.30),
                 FaultSpec("disk_degraded", 0.25, 0.50, 3.0),
                 FaultSpec("mem_pressure", 0.35, 0.40, 0.40),
             ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=1,
-                slo_latency_s=0.1,
-            ),
-            control=SloControlPolicy(
-                window_completions=100,
-                slo_latency_s=0.1,
-                shed_enabled=True,
-                shed_percentile=95.0,
-                shed_target_latency_s=0.1,
-                shed_interval_windows=2,
-                shed_step=0.1,
-                shed_decay=0.5,
-                brownout_enabled=True,
-                brownout_relief=0.25,
-                brownout_trigger_windows=2,
-                brownout_recover_windows=2,
-                brownout_max_steps=2,
-            ),
+            policy=ResiliencePolicy(max_retries=1),
+            control=SloControlPolicy(shed_step=0.1, brownout_enabled=True),
         ),
         FaultScenario(
             name="flaky_network_compaction",
@@ -249,28 +222,14 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "bound in-flight work and device stall time lands in "
                 "the SLO accounting, not just the iostat section."
             ),
-            schedule=FaultSchedule.of(
+            schedule=(
                 FaultSpec("net_latency", 0.15, 0.65, 0.002),
                 FaultSpec("net_loss", 0.20, 0.55, 0.05),
                 FaultSpec("disk_degraded", 0.30, 0.55, 4.0),
             ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=2,
-                hedge_delay_s=0.02,
-                slo_latency_s=0.1,
-            ),
+            policy=ResiliencePolicy(hedge_delay_s=0.02),
             control=SloControlPolicy(
-                window_completions=100,
-                slo_latency_s=0.1,
-                shed_enabled=True,
-                shed_percentile=95.0,
-                shed_target_latency_s=0.1,
-                shed_interval_windows=2,
-                shed_step=0.08,
-                shed_decay=0.5,
-                admit_enabled=True,
-                admit_max_inflight_per_instance=96,
+                shed_step=0.08, admit_max_inflight_per_instance=96
             ),
         ),
         FaultScenario(
@@ -281,23 +240,14 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "CoDel-style shedder drops just enough at admission "
                 "to keep admitted requests inside the SLO."
             ),
-            schedule=EMPTY_SCHEDULE,
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=0,
-                slo_latency_s=0.1,
-            ),
+            schedule=(),
+            policy=ResiliencePolicy(max_retries=0),
             load_multiplier=2.0,
             control=SloControlPolicy(
-                window_completions=100,
-                slo_latency_s=0.1,
-                shed_enabled=True,
-                shed_percentile=95.0,
                 shed_target_latency_s=0.08,
                 shed_interval_windows=1,
                 shed_step=0.15,
                 shed_decay=0.7,
-                shed_max_fraction=0.95,
                 shed_error_rate_threshold=0.15,
             ),
         ),
@@ -307,15 +257,11 @@ FAULT_SCENARIOS: Dict[str, FaultScenario] = {
                 "Co-tenant interference: a 1.6x slowdown through the "
                 "middle of the window plus a cache flush at its center."
             ),
-            schedule=FaultSchedule.of(
+            schedule=(
                 FaultSpec("server_slowdown", 0.25, 0.50, 1.6),
                 FaultSpec("cache_flush", 0.50, 0.20, 0.40),
             ),
-            policy=ResiliencePolicy(
-                deadline_s=0.5,
-                max_retries=1,
-                slo_latency_s=0.1,
-            ),
+            policy=ResiliencePolicy(max_retries=1),
         ),
     )
 }
@@ -338,18 +284,14 @@ def get_fault_scenario(name: str) -> FaultScenario:
 
 
 def apply_fault_scenario(config: RunConfig, name: str) -> RunConfig:
-    """Return ``config`` with the named scenario fully applied.
+    """Return ``config`` carrying the named scenario.
 
-    Applies the fault schedule, the client resilience policy, the SLO
-    control policy, and the scenario's load multiplier (compounding
-    with any ``load_scale`` already on the config).
+    The scenario's load multiplier compounds with any ``load_scale``
+    already on the config.
     """
     scenario = get_fault_scenario(name)
     return dataclasses.replace(
         config,
-        faults=scenario.schedule,
-        resilience=scenario.policy,
-        slo_control=scenario.control,
+        scenario=scenario,
         load_scale=config.load_scale * scenario.load_multiplier,
-        fault_scenario=scenario.name,
     )

@@ -10,7 +10,7 @@ import pytest
 from repro.core.benchmark import Benchmark
 from repro.core.cli import main
 from repro.faults.control import (
-    DISABLED_CONTROL,
+    SHED_MAX_FRACTION,
     AdmissionController,
     BrownoutResponder,
     LoadShedder,
@@ -48,26 +48,14 @@ class TestPolicy:
     def test_defaults_valid(self):
         SloControlPolicy()
 
-    def test_disabled_policy_shared(self):
-        assert not DISABLED_CONTROL.enabled
-        assert SloControlPolicy.disabled() == DISABLED_CONTROL
-
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("window_completions", 0),
-            ("slo_latency_s", 0.0),
-            ("shed_percentile", 0.0),
-            ("shed_percentile", 101.0),
             ("shed_interval_windows", 0),
             ("shed_step", 0.0),
             ("shed_decay", 1.0),
-            ("shed_max_fraction", 1.0),
             ("shed_error_rate_threshold", 1.5),
             ("admit_max_inflight_per_instance", -1),
-            ("brownout_relief", 1.0),
-            ("brownout_trigger_windows", 0),
-            ("brownout_max_steps", 0),
         ],
     )
     def test_validation(self, field, value):
@@ -75,8 +63,10 @@ class TestPolicy:
             dataclasses.replace(SloControlPolicy(), **{field: value})
 
     def test_round_trips_through_dict(self):
+        """``as_dict`` (what the run fingerprint digests) keeps every
+        field and is JSON-safe."""
         policy = SloControlPolicy(shed_step=0.2, brownout_enabled=True)
-        assert SloControlPolicy.from_dict(policy.as_dict()) == policy
+        assert SloControlPolicy(**policy.as_dict()) == policy
         json.dumps(policy.as_dict(), sort_keys=True)
 
 
@@ -122,10 +112,10 @@ class TestLoadShedder:
         assert stats.breached_windows == 1
 
     def test_capped_at_max_fraction(self):
-        shedder, _ = self.make(shed_max_fraction=0.3)
-        for _ in range(20):
+        shedder, _ = self.make()
+        for _ in range(40):
             shedder.on_window(window(p95=0.5))
-        assert shedder.drop_probability == pytest.approx(0.3)
+        assert shedder.drop_probability == SHED_MAX_FRACTION
 
     def test_decisions_deterministic_per_seed(self):
         def decisions(seed):
@@ -156,7 +146,8 @@ class TestAdmissionController:
         ctl.release(0)
         # Round-robin continues from where it left off (instance 0 next).
         assert ctl.try_acquire() == 0
-        assert ctl.total_inflight == 2
+        # Instance 1 was never released, so it still refuses.
+        assert ctl.try_acquire() is None
 
     def test_set_instances_validated(self):
         ctl = AdmissionController(1, SloControlStats())
@@ -165,17 +156,9 @@ class TestAdmissionController:
 
 
 class TestBrownoutResponder:
-    def make(self, **kwargs):
-        policy = SloControlPolicy(
-            brownout_enabled=True,
-            brownout_relief=0.25,
-            brownout_trigger_windows=2,
-            brownout_recover_windows=2,
-            brownout_max_steps=2,
-            **kwargs,
-        )
+    def make(self):
         stats = SloControlStats()
-        return BrownoutResponder(policy, stats), stats
+        return BrownoutResponder(SloControlPolicy(brownout_enabled=True), stats), stats
 
     def test_steps_up_and_publishes(self):
         responder, stats = self.make()
@@ -191,7 +174,6 @@ class TestBrownoutResponder:
         assert responder.steps == 1
         assert target.relief_speedup == pytest.approx(1.0 / 0.75)
         assert stats.brownout_activations == 1
-        assert responder.adjustments == [(0, pytest.approx(1.0 / 0.75))]
 
     def test_caps_at_max_steps(self):
         responder, _ = self.make()
@@ -237,10 +219,9 @@ class TestScenarioWiring:
 
     def test_apply_sets_control_and_load(self):
         config = apply_fault_scenario(RunConfig(), "overload_shed")
-        assert config.slo_control.enabled
-        assert config.slo_control.shed_enabled
+        assert config.scenario is FAULT_SCENARIOS["overload_shed"]
+        assert config.scenario.control is not None
         assert config.load_scale == pytest.approx(2.0)
-        assert config.fault_scenario == "overload_shed"
 
     def test_load_multiplier_compounds_with_load_scale(self):
         config = apply_fault_scenario(
@@ -250,11 +231,11 @@ class TestScenarioWiring:
 
     def test_plain_scenarios_keep_control_disabled(self):
         config = apply_fault_scenario(RunConfig(), "brownout")
-        assert config.slo_control == DISABLED_CONTROL
+        assert config.scenario.control is None
 
     def test_scenario_dicts_digest_control_policy(self):
         payload = FAULT_SCENARIOS["overload_shed"].as_dict()
-        assert payload["control"]["shed_enabled"]
+        assert payload["control"]["shed_target_latency_s"] == 0.08
         assert payload["load_multiplier"] == 2.0
         json.dumps(payload, sort_keys=True)
 
@@ -281,17 +262,13 @@ class TestOverloadShedEndToEnd:
         return _run_report(shed_config)
 
     def test_shedding_raises_goodput_under_overload(
-        self, shed_config, shed_report
+        self, shed_config, shed_report, monkeypatch
     ):
         """The acceptance bar: at 2x capacity, completions meeting the
-        SLO are strictly more frequent with the shedder on."""
-        no_shed = dataclasses.replace(
-            shed_config,
-            slo_control=dataclasses.replace(
-                shed_config.slo_control, shed_enabled=False
-            ),
-        )
-        baseline = _run_report(no_shed)
+        SLO are strictly more frequent with the shedder on (the
+        baseline's shedder never acts on a window)."""
+        monkeypatch.setattr(LoadShedder, "on_window", lambda self, window: None)
+        baseline = _run_report(shed_config)
         shed_goodput = shed_report.result.extra["slo_goodput_rps"]
         base_goodput = baseline.result.extra["slo_goodput_rps"]
         assert shed_goodput > base_goodput

@@ -1,5 +1,6 @@
 """End-to-end fault injection: determinism, degradation, reporting."""
 
+import dataclasses
 import json
 from functools import lru_cache
 
@@ -9,7 +10,11 @@ from repro.core.benchmark import Benchmark
 from repro.core.suite import DCPerfSuite
 from repro.exec.spec import RunPoint
 from repro.workloads.base import RunConfig
-from repro.workloads.scenarios import apply_fault_scenario, fault_scenario_names
+from repro.workloads.scenarios import (
+    apply_fault_scenario,
+    fault_scenario_names,
+    get_fault_scenario,
+)
 from tests.conftest import run_point
 
 FAST = dict(measure_seconds=0.6, warmup_seconds=0.2, seed=11)
@@ -88,6 +93,24 @@ class TestResilienceReporting:
     def test_slo_compliance_drops_under_brownout(self):
         faulted = run_taobench("brownout").hook_sections["resilience"]
         assert faulted["slo_compliance_pct"] < 100.0
+
+    def test_scenario_built_outside_the_registry(self):
+        """A scenario passed whole as ``RunConfig(scenario=...)`` runs
+        exactly like the registered one it copies; only the resilience
+        section's label names it."""
+        config = RunConfig(sku_name="SKU2", seed=11, measure_seconds=0.5)
+        blackout = get_fault_scenario("blackout")
+        custom = dataclasses.replace(blackout, name="my_blackout")
+        taobench = Benchmark.by_name("taobench")
+        registered = taobench.run(apply_fault_scenario(config, "blackout")).as_dict()
+        unregistered = taobench.run(
+            dataclasses.replace(config, scenario=custom)
+        ).as_dict()
+        assert registered["hooks"]["resilience"].pop("scenario") == "blackout"
+        assert unregistered["hooks"]["resilience"].pop("scenario") == "my_blackout"
+        assert json.dumps(unregistered, sort_keys=True) == json.dumps(
+            registered, sort_keys=True
+        )
 
 
 #: Short window for the scenario x suite-entry matrix.

@@ -1,14 +1,17 @@
 """Tests for fault specs, schedules, and the scenario registry."""
 
+import dataclasses
+import random
+
 import pytest
 
-from repro.faults.schedule import (
-    EMPTY_SCHEDULE,
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultSpec,
-    merge,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.schedule import FAULT_KINDS, FaultSpec
+from repro.oskernel.kernel import get_kernel
+from repro.oskernel.scheduler import CpuScheduler
+from repro.sim.engine import Environment
+from repro.workloads.profiles import get_profile
+from repro.workloads.runner import BenchmarkHarness
 from repro.workloads.scenarios import (
     FAULT_SCENARIOS,
     apply_fault_scenario,
@@ -51,8 +54,10 @@ class TestFaultSpec:
             FaultSpec("net_loss", 0.1, 0.2, 1.5)
 
     def test_dict_roundtrip(self):
+        """``as_dict`` (what the run fingerprint digests) keeps every
+        field: the constructor rebuilds an equal spec from it."""
         spec = FaultSpec("net_latency", 0.25, 0.5, 0.003)
-        assert FaultSpec.from_dict(spec.as_dict()) == spec
+        assert FaultSpec(**spec.as_dict()) == spec
 
     def test_all_kinds_constructible(self):
         for kind in FAULT_KINDS:
@@ -63,36 +68,56 @@ class TestFaultSpec:
 
 class TestFaultSchedule:
     def test_empty_is_falsy(self):
-        assert not EMPTY_SCHEDULE
-        assert len(EMPTY_SCHEDULE) == 0
-        assert bool(FaultSchedule.of(FaultSpec("server_crash", 0.1, 0.2)))
+        """The harness builds an injector only for a non-empty schedule;
+        every scenario still gets the resilience client."""
+        def harness(name):
+            config = apply_fault_scenario(RunConfig(), name) if name else RunConfig()
+            return BenchmarkHarness(config, get_profile("taobench"))
 
-    def test_sorted_by_start(self):
-        schedule = FaultSchedule.of(
-            FaultSpec("server_crash", 0.5, 0.2),
-            FaultSpec("net_loss", 0.1, 0.2, 0.1),
-        )
-        starts = [f.start_frac for f in schedule.sorted_by_start()]
-        assert starts == sorted(starts)
+        shed = harness("overload_shed")
+        assert not shed.config.scenario.schedule
+        assert shed.injector is None and shed.client is not None
+        blackout = harness("blackout")
+        assert blackout.injector is not None and blackout.client is not None
+        assert harness("").client is None
 
     def test_dict_roundtrip(self):
-        schedule = FaultSchedule.of(
-            FaultSpec("mem_pressure", 0.2, 0.3, 0.5),
-            FaultSpec("net_latency", 0.4, 0.2, 0.001),
+        """A scenario's dict lists its schedule's specs in order, so the
+        fingerprint digests the whole schedule."""
+        scenario = FAULT_SCENARIOS["flaky_network_compaction"]
+        specs = scenario.as_dict()["schedule"]
+        assert tuple(FaultSpec(**spec) for spec in specs) == scenario.schedule
+
+    def test_sorted_by_start(self):
+        """The injector applies a schedule in onset order whatever the
+        listing order; faults with one onset apply in listing order."""
+        schedule = (
+            FaultSpec("server_crash", 0.5, 0.2),
+            FaultSpec("net_loss", 0.1, 0.2, 0.1),
+            FaultSpec("net_latency", 0.3, 0.2, 0.001),
+            FaultSpec("mem_pressure", 0.3, 0.2, 0.5),
         )
-        assert FaultSchedule.from_dict(schedule.as_dict()) == schedule
+        env = Environment()
+        scheduler = CpuScheduler(
+            env=env, logical_cores=4, freq_ghz=2.0, kernel=get_kernel("6.9")
+        )
+        injector = FaultInjector(env, schedule, scheduler, random.Random(1), 0.0, 1.0)
+        injector.start()
+        env.run(until=1.5)
+        applied = [kind for _, kind, phase in injector.log if phase == "apply"]
+        assert applied == ["net_loss", "net_latency", "mem_pressure", "server_crash"]
 
     def test_schedules_hashable(self):
-        a = FaultSchedule.of(FaultSpec("server_crash", 0.1, 0.2))
-        b = FaultSchedule.of(FaultSpec("server_crash", 0.1, 0.2))
+        """Configs carrying equal scenarios are equal and hash equal
+        (feedsim's operating-point memo keys on the config)."""
+        blackout = get_fault_scenario("blackout")
+        specs = tuple(FaultSpec(**spec.as_dict()) for spec in blackout.schedule)
+        twin = dataclasses.replace(blackout, schedule=specs)
+        a = RunConfig(scenario=blackout)
+        b = RunConfig(scenario=twin)
         assert hash(a) == hash(b)
         assert a == b
-
-    def test_merge(self):
-        a = FaultSchedule.of(FaultSpec("server_crash", 0.1, 0.2))
-        b = FaultSchedule.of(FaultSpec("net_loss", 0.3, 0.2, 0.1))
-        merged = merge([a, b])
-        assert len(merged) == 2
+        assert a != RunConfig(scenario=get_fault_scenario("brownout"))
 
 
 class TestScenarioRegistry:
@@ -107,9 +132,8 @@ class TestScenarioRegistry:
             # Every scenario perturbs the run somehow: a fault schedule,
             # or pure overload (load multiplier + SLO control plane).
             assert scenario.schedule or (
-                scenario.load_multiplier != 1.0 and scenario.control.enabled
+                scenario.load_multiplier != 1.0 and scenario.control is not None
             )
-            assert scenario.policy.enabled
             assert scenario.description
             # as_dict must be JSON-serializable for fingerprinting.
             import json
@@ -122,12 +146,9 @@ class TestScenarioRegistry:
 
     def test_apply_fault_scenario(self):
         config = apply_fault_scenario(RunConfig(), "blackout")
-        assert config.fault_scenario == "blackout"
-        assert config.faults
-        assert config.resilience.enabled
+        assert config.scenario is FAULT_SCENARIOS["blackout"]
+        assert config.scenario.schedule
+        assert config.load_scale == 1.0
 
     def test_default_config_fault_free(self):
-        config = RunConfig()
-        assert not config.faults
-        assert not config.resilience.enabled
-        assert config.fault_scenario == ""
+        assert RunConfig().scenario is None

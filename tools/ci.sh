@@ -384,7 +384,7 @@ EOF
 # point as a process.  Each command must exit 0.  The SKU4 blackout suite
 # runs the default window, where a feedsim leaf fails after its request
 # was abandoned (an abandoned join must drop that failure).
-echo "== CLI smoke (run, sharded run, aibench run, suites under blackout, cache info) =="
+echo "== CLI smoke (run, sharded run, aibench run, suites under blackout, cache info, faults list) =="
 python -m repro.core.cli run -b taobench --measure-seconds 0.3 > /dev/null
 python -m repro.core.cli run -b taobench --shards 2 --measure-seconds 0.3 \
     > /dev/null
@@ -394,8 +394,10 @@ python -m repro.core.cli suite --faults blackout --measure-seconds 0.3 \
 python -m repro.core.cli suite --sku SKU4 --faults blackout --no-cache \
     > /dev/null
 python -m repro.core.cli cache info > /dev/null
+python -m repro.core.cli faults list > /dev/null
 echo "CLI smoke ok: run, run --shards 2, run -b aibench, suite --faults" \
-    "blackout (0.3 s window; SKU4 at the default window), cache info"
+    "blackout (0.3 s window; SKU4 at the default window), cache info," \
+    "faults list"
 
 echo "== engine perf smoke (vs BENCH_engine.json quick baseline) =="
 python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
@@ -404,6 +406,8 @@ python tools/bench_engine.py --quick --repeat 3 --check BENCH_engine.json
 # the bench numbers.
 echo "== line counts (wc -l) =="
 echo "src/: $(find src -name '*.py' -exec cat {} + | wc -l)"
-echo "src/repro/exec/: $(cat src/repro/exec/*.py | wc -l)"
+for package in src/repro/*/; do
+    echo "$package: $(find "$package" -name '*.py' -exec cat {} + | wc -l)"
+done
 
 echo "== verify ok =="
