@@ -15,7 +15,10 @@ host threads driving it) running the standard continuous-batching loop:
   *sublinearly* with batch size: the weight streaming that dominates a
   step is shared by all resident sequences, which is exactly why
   continuous batching wins (``1 + eff * (n - 1)`` for ``n`` residents,
-  against ``n`` for unbatched decode).
+  against ``n`` for unbatched decode).  Between admissions, completions
+  and preemptions the batch decodes in *uniform runs*, whose steps the
+  replica books in O(1) each, event for event and float for float as
+  the per-resident walk would (:meth:`LlmReplica._loop`).
 * **KV ledger** — each decoded token appends one KV-cache entry; when
   the replica's HBM budget is exhausted the youngest resident sequence
   is preempted (its KV freed, its context re-prefilled on resume),
@@ -392,6 +395,23 @@ class LlmReplica:
         seq.kv_tokens += 1
         return True
 
+    def _uniform_steps(self, now: float) -> int:
+        """How many decode steps after the one that ended at ``now`` may
+        run uniform (see :meth:`_loop`): 0 unless every resident decoded
+        at ``now``, else the steps in which none finishes and the
+        batch's KV growth fits in bulk.  Tests patch it to return 0,
+        which forces every step through the general path."""
+        active = self.active
+        kv = self.kv
+        limit = (kv.budget_tokens - kv.resident_tokens) // len(active)
+        for seq in active:
+            if seq.last_token_at != now:
+                return 0
+            left = seq.target_tokens - seq.decoded - 1
+            if left < limit:
+                limit = left
+        return limit
+
     def _loop(self) -> Generator:
         """Admit and prefill queued sequences, then run decode steps.
 
@@ -405,15 +425,44 @@ class LlmReplica:
         values per-sequence reservations would have reached.  When the
         growth does not fit, each sequence grows through
         :meth:`_grow_kv`, preempting the youngest resident as needed.
+
+        After such a general step, the replica decodes a *uniform run*
+        of up to :meth:`_uniform_steps` steps: every resident decoded in
+        the previous step, so each of its gaps is the same float and no
+        first token is due, none finishes, and the growth fits in bulk.
+        A uniform step claims its core and prices its burst inline, with
+        :meth:`CpuScheduler.execute
+        <repro.oskernel.scheduler.CpuScheduler.execute>`'s own rule and
+        arithmetic, sleeps, books the scheduler's stats as ``execute``
+        does, then books its step, its ``n`` gaps (one ``on_token``
+        call), its tokens and its KV growth in O(1).  Each step keeps
+        its own heap entry and sequence numbers, so events, float sums
+        and reports are those of the general path.  The run leaves for
+        the general path before a step when the server is offline, when
+        a queued sequence could take a free slot, or when ``execute``
+        could not claim a core inline (someone waits for one, none is
+        free, or the grant would not be the engine's next event: another
+        entry is due at the same instant, ``stop()`` was called, or the
+        run's ``until`` bound is reached).  Fault slowdown, brownout
+        relief and the clock frequency are read afresh on every step.
+        Each resident's ``decoded``, ``kv_tokens`` and ``last_token_at``
+        lag during a run and are written once, when it ends; only the
+        replica reads them.
         """
         env = self.env
         harness = self.harness
         scheduler = harness.scheduler
+        scheduler_stats = scheduler.stats
+        speedup_by_count = scheduler._speedup_by_count
+        cores = scheduler.cores
+        capacity = cores.capacity
+        grant_is_next = env._grant_is_next
         stats = self.stats
         kv = self.kv
         on_first_token = self.on_first_token
         on_token = self.on_token
         prefill_instr_per_token = self.params.prefill_instr_per_token
+        max_batch_slots = self.params.max_batch_slots
         decode_bursts = self._decode_bursts
         active = self.active
         pending = self.pending
@@ -490,3 +539,49 @@ class LlmReplica:
             if bulk:
                 kv.resident_tokens = resident
                 kv.peak_tokens = resident if resident > peak else peak
+            if not active:
+                continue
+            limit = self._uniform_steps(now)
+            n = len(active)
+            user, kernel, dispatches = decode_bursts[n]
+            busy = user + kernel
+            taken = 0
+            while (
+                taken < limit
+                and not scheduler.offline
+                and not (pending and n < max_batch_slots)
+                and not cores._waiters
+                and cores._in_use < capacity
+                and grant_is_next()
+            ):
+                cores._in_use += 1
+                env._seq += 1
+                overhead = scheduler.dispatch_overhead_seconds * dispatches
+                duration = busy / speedup_by_count[cores._in_use] + overhead
+                duration *= scheduler.fault_slowdown
+                if scheduler.relief_speedup != 1.0:
+                    duration /= scheduler.relief_speedup
+                try:
+                    yield env.sleep(duration)
+                finally:
+                    cores.release_claim()
+                    scheduler_stats.busy_seconds += duration
+                    scheduler_stats.kernel_seconds += kernel
+                    scheduler_stats.overhead_seconds += overhead
+                    scheduler_stats.dispatch_count += dispatches
+                taken += 1
+                stats.steps += 1
+                step_end = env.now
+                if on_token is not None:
+                    on_token(step_end - now, n)
+                now = step_end
+                stats.decoded_tokens += n
+                resident = kv.resident_tokens + n
+                kv.resident_tokens = resident
+                if resident > kv.peak_tokens:
+                    kv.peak_tokens = resident
+            if taken:
+                for seq in active:
+                    seq.decoded += taken
+                    seq.kv_tokens += taken
+                    seq.last_token_at = now

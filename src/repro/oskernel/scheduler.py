@@ -160,6 +160,12 @@ class CpuScheduler:
         number.  Otherwise the burst requests a core and yields until it
         is granted.  Both paths give the same event order, RNG draws and
         floats.
+
+        The claim rule, the pricing below and the stats booking have a
+        second reader: a uniform LLM decode run
+        (:meth:`repro.llm.engine.LlmReplica._loop`) repeats them inline,
+        field for field, to skip this generator on each of its steps.
+        A change here must be made there too.
         """
         if not (user_seconds >= 0 and kernel_seconds >= 0):
             # Also rejects NaN, before a core is claimed or stats move.

@@ -258,7 +258,7 @@ class AiBench(Workload):
             probe=lambda rate: self._probe(config, rate),
             slo=AIBENCH_SLO,
             low_rps=capacity * 0.15,
-            high_rps=capacity * 1.6 * config.load_scale,
+            high_rps=capacity * 1.6 * config.offered_load_scale,
             tolerance=0.05,
         )
         # The search probed the operating rate on a fresh harness with

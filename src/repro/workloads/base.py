@@ -21,8 +21,10 @@ class RunConfig:
 
     ``load_scale`` multiplies the workload's default offered load
     (1.0 = the load that saturates the benchmark's target operating
-    point).  How many production requests one simulated request stands
-    for is the workload's own choice, not the run's (see
+    point); workloads read it through :attr:`offered_load_scale`, which
+    also applies the scenario's ``load_multiplier``.  How many
+    production requests one simulated request stands for is the
+    workload's own choice, not the run's (see
     :class:`~repro.workloads.runner.BenchmarkHarness`).
 
     ``scenario`` is the run's
@@ -77,6 +79,15 @@ class RunConfig:
                 f"shard_index {self.shard_index} out of range for "
                 f"{self.shards} shard(s)"
             )
+
+    @property
+    def offered_load_scale(self) -> float:
+        """The scale every workload applies to its default offered load:
+        ``load_scale`` times the scenario's ``load_multiplier``, or
+        ``load_scale`` alone without a scenario."""
+        if self.scenario is None:
+            return self.load_scale
+        return self.load_scale * self.scenario.load_multiplier
 
     @property
     def sku(self) -> ServerSku:

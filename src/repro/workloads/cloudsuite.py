@@ -224,7 +224,7 @@ class CloudSuiteWebServing(Workload):
                 errors[0] += 1
 
         # Load scale n ~ n concurrent users issuing ~1 op/s each.
-        offered = float(self.load_scale_factor) * 1.0 * config.load_scale
+        offered = float(self.load_scale_factor) * 1.0 * config.offered_load_scale
         result = harness.run_open_loop(handler, offered_rps=offered)
         # The generator counts a timed-out request as completed (the
         # handler swallows the 504); goodput must exclude them.

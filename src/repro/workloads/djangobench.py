@@ -112,7 +112,7 @@ class DjangoBench(Workload):
         harness = BenchmarkHarness(config, self._chars)
         handler = self._build_handler(harness)
         offered = (
-            harness.server.capacity_rps() * OFFERED_FRACTION * config.load_scale
+            harness.server.capacity_rps() * OFFERED_FRACTION * config.offered_load_scale
         )
         result = harness.run_open_loop(handler, offered_rps=offered)
         result.extra["offered_rps"] = offered

@@ -149,7 +149,7 @@ class FeedSim(Workload):
             probe=lambda rate: self._probe(config, rate),
             slo=FEEDSIM_SLO,
             low_rps=capacity * 0.20,
-            high_rps=capacity * 1.05 * config.load_scale,
+            high_rps=capacity * 1.05 * config.offered_load_scale,
             tolerance=0.04,
         )
 

@@ -199,7 +199,7 @@ class LlmBench(Workload):
             * harness.server.per_logical_ips
             / turn_instr
             * OFFERED_FRACTION
-            * config.load_scale
+            * config.offered_load_scale
         )
         result = harness.run_open_loop(handler, offered_rps=offered)
 

@@ -119,10 +119,10 @@ class FaultScenario:
     (windowed tracking + shedding/admission/brownout behaviors), and
     ``None`` leaves it off; ``load_multiplier`` scales the run's
     offered load, letting pure overload scenarios exist without any
-    hardware fault at all.  The harness never reads it:
-    :func:`apply_fault_scenario` multiplies it into
-    ``RunConfig.load_scale``, and a config built directly sets
-    ``load_scale`` itself.
+    hardware fault at all.  Every workload applies it through
+    :attr:`RunConfig.offered_load_scale
+    <repro.workloads.base.RunConfig.offered_load_scale>`, however the
+    config got its scenario.
     """
 
     name: str
@@ -286,12 +286,8 @@ def get_fault_scenario(name: str) -> FaultScenario:
 def apply_fault_scenario(config: RunConfig, name: str) -> RunConfig:
     """Return ``config`` carrying the named scenario.
 
-    The scenario's load multiplier compounds with any ``load_scale``
-    already on the config.
+    ``load_scale`` stays as it was: the scenario's load multiplier
+    compounds with it in :attr:`RunConfig.offered_load_scale
+    <repro.workloads.base.RunConfig.offered_load_scale>`.
     """
-    scenario = get_fault_scenario(name)
-    return dataclasses.replace(
-        config,
-        scenario=scenario,
-        load_scale=config.load_scale * scenario.load_multiplier,
-    )
+    return dataclasses.replace(config, scenario=get_fault_scenario(name))

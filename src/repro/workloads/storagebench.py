@@ -218,7 +218,7 @@ class StorageBench(Workload):
         env.process(window_reset())
 
         offered = (
-            harness.server.capacity_rps() * OFFERED_FRACTION * config.load_scale
+            harness.server.capacity_rps() * OFFERED_FRACTION * config.offered_load_scale
         )
         result = harness.run_open_loop(handler, offered_rps=offered)
 

@@ -198,7 +198,7 @@ class TaoBench(Workload):
                 yield slow_pool.submit(slow_work)
 
         offered = (
-            harness.server.capacity_rps() * OFFERED_FRACTION * config.load_scale
+            harness.server.capacity_rps() * OFFERED_FRACTION * config.offered_load_scale
         )
         result = harness.run_open_loop(handler, offered_rps=offered)
         result.extra["cache_hit_rate"] = cache.stats.hit_rate

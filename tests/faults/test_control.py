@@ -221,13 +221,15 @@ class TestScenarioWiring:
         config = apply_fault_scenario(RunConfig(), "overload_shed")
         assert config.scenario is FAULT_SCENARIOS["overload_shed"]
         assert config.scenario.control is not None
-        assert config.load_scale == pytest.approx(2.0)
+        assert config.load_scale == 1.0
+        assert config.offered_load_scale == 2.0
 
     def test_load_multiplier_compounds_with_load_scale(self):
         config = apply_fault_scenario(
             RunConfig(load_scale=1.5), "overload_shed"
         )
-        assert config.load_scale == pytest.approx(3.0)
+        assert config.offered_load_scale == 3.0
+        assert dataclasses.replace(config, scenario=None).offered_load_scale == 1.5
 
     def test_plain_scenarios_keep_control_disabled(self):
         config = apply_fault_scenario(RunConfig(), "brownout")

@@ -112,6 +112,23 @@ class TestResilienceReporting:
             registered, sort_keys=True
         )
 
+    def test_scenario_in_config_applies_its_load_multiplier(self):
+        """``overload_shed`` doubles the offered load whether the config
+        gets it from ``apply_fault_scenario`` or as ``scenario=``."""
+        config = RunConfig(
+            sku_name="SKU2", seed=11, warmup_seconds=0.1, measure_seconds=0.3
+        )
+        taobench = Benchmark.by_name("taobench")
+        direct = taobench.run(
+            dataclasses.replace(
+                config, scenario=get_fault_scenario("overload_shed")
+            )
+        )
+        section = direct.hook_sections["slo_control"]
+        assert (section["offered"], section["shed"]) == (3804.0, 2417.0)
+        registered = taobench.run(apply_fault_scenario(config, "overload_shed"))
+        assert canonical(direct) == canonical(registered)
+
 
 #: Short window for the scenario x suite-entry matrix.
 MATRIX = dict(sku="SKU2", measure_seconds=0.3, warmup_seconds=0.1)

@@ -1,5 +1,6 @@
 """The continuous-batching engine: KV ledger, preemption, prefix cache."""
 
+import functools
 import random
 
 import pytest
@@ -19,11 +20,12 @@ from repro.sim.engine import Event
 from repro.workloads.base import RunConfig
 from repro.workloads.profiles import BENCHMARK_PROFILES
 from repro.workloads.runner import BenchmarkHarness
+from repro.workloads.scenarios import apply_fault_scenario
 
 
-def _harness():
+def _harness(config=None):
     chars = BENCHMARK_PROFILES["llmbench"]
-    return BenchmarkHarness(RunConfig(), chars)
+    return BenchmarkHarness(config or RunConfig(), chars)
 
 
 def _run_sequences(params, specs, until=60.0):
@@ -244,7 +246,8 @@ class _PerTokenReplica(LlmReplica):
     replaced.  Prefill rescans ``active``, decode is priced by
     ``decode_step_instructions`` every step, every sequence grows its KV
     through ``_grow_kv`` and every token is its own ``on_token(gap, 1)``
-    call.  It also counts sequences that preempted themselves, and
+    call.  Like the replica, it holds each burst while the server is
+    offline.  It also counts sequences that preempted themselves, and
     tokens decoded after a completion freed KV earlier in the same
     step (where a bulk reservation must track the peak)."""
 
@@ -274,9 +277,11 @@ class _PerTokenReplica(LlmReplica):
                     stats.cached_prefix_tokens += cached
                     seq.needs_prefill = False
                 if instructions > 0:
+                    yield from self.harness.wait_online()
                     yield from self.harness.burst(instructions)
             if not self.active:
                 continue
+            yield from self.harness.wait_online()
             yield from self.harness.burst(
                 params.decode_step_instructions(len(self.active))
             )
@@ -340,9 +345,14 @@ def _random_mix(seed):
     return params, arrivals
 
 
-def _drive(replica_cls, params, arrivals):
-    """Run one replica over ``arrivals``; return everything observable."""
-    harness = _harness()
+def _drive(replica_cls, params, arrivals, config=None, setup=None, bounds=()):
+    """Run one replica over ``arrivals``; return everything observable.
+
+    ``config`` replaces the default run config, ``setup(harness)``
+    starts further processes before the run, and the run stops at each
+    of ``bounds`` on its way.
+    """
+    harness = _harness(config)
     env = harness.env
     ttft, itl_calls = [], []
     replica = replica_cls(
@@ -367,6 +377,10 @@ def _drive(replica_cls, params, arrivals):
         env.stop()
 
     env.process(submitter())
+    if setup is not None:
+        setup(harness)
+    for bound in bounds:
+        env.run(until=bound)
     env.run(until=600.0)
     return {
         "kv": (
@@ -389,8 +403,18 @@ def _drive(replica_cls, params, arrivals):
         "itl": [gap for _, gap, count in itl_calls for _ in range(count)],
         "itl_calls": itl_calls,
         "clock": (env.now, env._seq),
+        "scheduler": harness.scheduler.stats,
         "replica": replica,
     }
+
+
+#: What a replica's run must match the per-token reference in.
+COMPARED = ("kv", "stats", "seqs", "ttft", "itl", "clock", "scheduler")
+
+
+def _per_step_only(monkeypatch):
+    """Force every decode step through the general path."""
+    monkeypatch.setattr(LlmReplica, "_uniform_steps", lambda self, now: 0)
 
 
 class TestBatchedDecodeMatchesPerToken:
@@ -403,7 +427,7 @@ class TestBatchedDecodeMatchesPerToken:
         params, arrivals = _random_mix(seed)
         batched = _drive(LlmReplica, params, arrivals)
         reference = _drive(_PerTokenReplica, params, arrivals)
-        for key in ("kv", "stats", "seqs", "ttft", "itl", "clock"):
+        for key in COMPARED:
             assert batched[key] == reference[key], key
         assert batched["stats"].completions == len(arrivals)
         # One call per maximal run: within one step (one instant)
@@ -440,6 +464,9 @@ class TestDecodeBurstTable:
     def test_decode_bursts_reach_execute_with_per_step_floats(
         self, seed, monkeypatch
     ):
+        # Uniform steps price their bursts inline; with the run off,
+        # every decode step reaches ``execute``.
+        _per_step_only(monkeypatch)
         params, arrivals = _random_mix(seed)
         replicas, in_burst, decode_calls = [], [], []
         real_execute = CpuScheduler.execute
@@ -480,3 +507,227 @@ class TestDecodeBurstTable:
                 * harness.batch
             )
             assert args == (seconds * (1.0 - kf), seconds * kf, harness.batch)
+
+    @pytest.mark.parametrize("seed", [5, 12])
+    def test_uniform_runs_book_the_per_step_stats(self, seed, monkeypatch):
+        """Uniform steps skip ``execute`` yet book the scheduler and the
+        engine exactly as the per-step path does."""
+        params, arrivals = _random_mix(seed)
+        calls = []
+        real_execute = CpuScheduler.execute
+
+        def execute(self, *args):
+            calls.append(args)
+            return real_execute(self, *args)
+
+        monkeypatch.setattr(CpuScheduler, "execute", execute)
+        with monkeypatch.context() as forced_off:
+            _per_step_only(forced_off)
+            per_step = _drive(LlmReplica, params, arrivals)
+        per_step_calls = len(calls)
+        del calls[:]
+        run = _drive(LlmReplica, params, arrivals)
+        assert len(calls) < per_step_calls
+        assert run["scheduler"] == per_step["scheduler"]
+        assert run["stats"] == per_step["stats"]
+
+
+class _TracedReplica(LlmReplica):
+    """Records each uniform run as ``[limit, steps taken, end]``, and
+    each uniform step's end as ``(run index, time)``.
+
+    ``end`` names the first of the run's checks that failed when it
+    ended, or ``"limit"`` once it took all its steps.  A uniform step
+    makes exactly one ``on_token`` call and no ``execute`` call, and
+    nothing moves between that call and the run's next check, so the
+    callback sees what the check sees.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.runs = []
+        self.step_ends = []
+        self._open = False
+        on_token = self.on_token
+        scheduler = self.harness.scheduler
+        execute = scheduler.execute
+
+        def traced_on_token(gap, count):
+            on_token(gap, count)
+            if self._open:
+                run = self.runs[-1]
+                run[1] += 1
+                run[2] = self._end()
+                self.step_ends.append((len(self.runs) - 1, self.env.now))
+
+        def traced_execute(*args):
+            # The general path's next burst: the run has ended.
+            self._open = False
+            return execute(*args)
+
+        self.on_token = traced_on_token
+        scheduler.execute = traced_execute
+
+    def _uniform_steps(self, now):
+        limit = super()._uniform_steps(now)
+        self.runs.append([limit, 0, None])
+        self.runs[-1][2] = self._end()
+        self._open = True
+        return limit
+
+    def _end(self):
+        limit, taken, _ = self.runs[-1]
+        scheduler = self.harness.scheduler
+        cores = scheduler.cores
+        if taken >= limit:
+            return "limit"
+        if scheduler.offline:
+            return "offline"
+        if self.pending and len(self.active) < self.params.max_batch_slots:
+            return "admission"
+        if cores._waiters:
+            return "waiters"
+        if cores._in_use >= cores.capacity:
+            return "full"
+        if not self.env._grant_is_next():
+            return "not next"
+        return None
+
+
+def _long_mix(seed):
+    """Ample KV and outputs of hundreds of tokens: decode runs long, and
+    later arrivals land in the middle of one."""
+    rng = random.Random(seed)
+    params = EngineParams(
+        max_batch_slots=rng.randint(2, 8), prefix_cache_entries=2
+    )
+    arrivals = []
+    for seq_id in range(rng.randint(8, 16)):
+        prompt = rng.randint(1, 200)
+        group = rng.choice((-1, 0, 1))
+        arrivals.append(
+            (
+                rng.choice((0, rng.randint(1, 400))),
+                seq_id,
+                prompt,
+                rng.randint(100, 600),
+                group,
+                rng.randint(1, prompt) if group >= 0 else 0,
+            )
+        )
+    return params, arrivals
+
+
+#: ``blackout`` crashes the server over [0.3, 0.45) of this window.
+_FAULT_CONFIG = apply_fault_scenario(
+    RunConfig(warmup_seconds=0.0, measure_seconds=0.2), "blackout"
+)
+
+
+def _faults_and_competitor(harness, ticker_at=None):
+    """Start ``blackout``'s injector, a process that moves the scheduler's
+    fault slowdown, brownout relief and clock mid-run, a competitor that
+    takes every core, then more cores than there are, and a ticker that
+    ends at ``ticker_at``."""
+    env = harness.env
+    scheduler = harness.scheduler
+    cores = scheduler.cores
+    harness.injector.start()
+    base_freq = scheduler.freq_ghz
+
+    def knobs():
+        for slowdown, relief, freq in (
+            (1.5, 1.0, 1.0),
+            (1.5, 1.25, 0.7),
+            (1.0, 1.25, 0.7),
+            (1.0, 1.0, 1.0),
+            (2.0, 1.5, 0.5),
+            (1.0, 1.0, 1.0),
+        ):
+            yield env.sleep(0.0137)
+            scheduler.fault_slowdown = slowdown
+            scheduler.relief_speedup = relief
+            scheduler.freq_ghz = base_freq * freq
+
+    def competitor():
+        # Every core (the replica's step frees the last one to a waiter),
+        # then one more than every core (a waiter stays queued).
+        for start, count in (
+            (0.0311, cores.capacity),
+            (0.0519, cores.capacity + 1),
+        ):
+            yield env.sleep(start - env.now)
+            held = [cores.request() for _ in range(count)]
+            yield env.sleep(0.0023)
+            for request in held:
+                cores.release(request)
+
+    def ticker():
+        # Started at 0, so it wakes at exactly ``ticker_at``.
+        yield env.sleep(ticker_at)
+
+    env.process(knobs())
+    env.process(competitor())
+    if ticker_at is not None:
+        env.process(ticker())
+
+
+def _faulted(replica_cls, params, arrivals):
+    """:func:`_drive` under :func:`_faults_and_competitor`, with two
+    cuts placed inside uniform runs: the ticker ends at one step's end,
+    and the run's ``until`` bound falls on a later one."""
+    ends = _drive(
+        _TracedReplica, params, arrivals, _FAULT_CONFIG, _faults_and_competitor
+    )["replica"].step_ends
+    # Step ends with a step of the same run on either side.
+    inside = [
+        index
+        for index in range(1, len(ends) - 1)
+        if ends[index - 1][0] == ends[index][0] == ends[index + 1][0]
+    ]
+    ticker = inside[len(inside) // 3]
+    bound = next(index for index in inside if ends[index][0] > ends[ticker][0])
+    return _drive(
+        replica_cls,
+        params,
+        arrivals,
+        _FAULT_CONFIG,
+        functools.partial(_faults_and_competitor, ticker_at=ends[ticker][1]),
+        bounds=((ends[bound - 1][1] + ends[bound][1]) / 2, ends[bound][1]),
+    )
+
+
+class TestUniformDecodeRuns:
+    """Uniform runs against the per-token reference where they dominate
+    (long outputs, ample KV) and where something cuts them."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_outputs_match_per_token(self, seed):
+        params, arrivals = _long_mix(seed)
+        run = _drive(_TracedReplica, params, arrivals)
+        reference = _drive(_PerTokenReplica, params, arrivals)
+        for key in COMPARED:
+            assert run[key] == reference[key], key
+        uniform = sum(taken for _, taken, _ in run["replica"].runs)
+        assert uniform > 0.9 * run["stats"].steps
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_faults_and_competitor_match_per_token(self, seed):
+        params, arrivals = _long_mix(seed)
+        run = _faulted(_TracedReplica, params, arrivals)
+        reference = _faulted(_PerTokenReplica, params, arrivals)
+        for key in COMPARED:
+            assert run[key] == reference[key], key
+        assert run["replica"].harness.injector.log
+
+    def test_every_check_cuts_a_run(self):
+        """Across the seeds above, each of the run's checks ends at
+        least one run that had taken steps; ``not next`` twice per seed
+        (the ticker and the ``until`` bound)."""
+        ends = []
+        for seed in range(6):
+            params, arrivals = _long_mix(seed)
+            replica = _faulted(_TracedReplica, params, arrivals)["replica"]
+            ends += [end for _, taken, end in replica.runs if taken]
+        assert ends.count("not next") == 12
+        assert set(ends) >= {"offline", "admission", "waiters", "full"}, ends

@@ -28,6 +28,7 @@ from dataclasses import fields
 import pytest
 
 from repro.exec.spec import RunPoint
+from repro.llm.engine import LlmReplica
 from repro.sim.engine import Environment
 from repro.workloads import feedsim
 from tests.conftest import run_point
@@ -194,6 +195,18 @@ def test_sleeps_as_timeouts_match_golden_digest(
     that is its process's own heap entry), the reports are still the
     goldens."""
     monkeypatch.setattr(Environment, "sleep", Environment.timeout)
+    assert report_digest(point) == _load_goldens()[case]["digest"]
+
+
+@pytest.mark.parametrize(
+    "case,point", golden_points(), ids=[c for c, _ in golden_points()]
+)
+def test_per_step_decode_matches_golden_digest(
+    case, point, monkeypatch, unmemoized
+):
+    """With every LLM decode step on the general path (the reference
+    for the uniform decode run), the reports are still the goldens."""
+    monkeypatch.setattr(LlmReplica, "_uniform_steps", lambda self, now: 0)
     assert report_digest(point) == _load_goldens()[case]["digest"]
 
 

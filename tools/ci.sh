@@ -331,6 +331,44 @@ print("llmbench smoke ok: byte-identical across in-proc x2, warm pool, "
       f"ttft p99 {section['ttft_p99_ms']:.2f}ms")
 EOF
 
+# The goldens run seed 11 and the benchmark seed 7; their only LLM
+# fault case (overload_shed) moves none of offline, freq_ghz,
+# fault_slowdown or relief_speedup, which a uniform decode run reads.
+echo "== LLM uniform decode runs (on vs forced off, seed 5, 13 reports) =="
+python - <<'EOF'
+import json
+
+from repro.exec.executor import SweepExecutor
+from repro.exec.spec import RunPoint
+from repro.llm.engine import LlmReplica
+
+window = dict(seed=5, measure_seconds=1.5, warmup_seconds=0.5, early_stop=False)
+points = [
+    RunPoint(benchmark=f"llmbench-{mix}", sku=sku, **window)
+    for sku in ("SKU1", "SKU2")
+    for mix in ("chat", "codegen", "rag_summarize", "long_reasoning")
+]
+points += [
+    RunPoint(benchmark="llmbench-chat", sku="SKU2", faults=scenario, **window)
+    for scenario in ("blackout", "brownout", "noisy_neighbor",
+                     "brownout_degraded_disk", "overload_shed")
+]
+
+
+def reports():
+    executor = SweepExecutor(max_workers=1, use_cache=False)
+    return [json.dumps(r.as_dict(), sort_keys=True) for r in executor.run(points)]
+
+
+uniform = reports()
+LlmReplica._uniform_steps = lambda self, now: 0
+per_step = reports()
+for point, a, b in zip(points, uniform, per_step):
+    assert a == b, f"{point.benchmark} {point.sku} {point.faults}: uniform run diverged"
+print(f"uniform decode runs ok: {len(points)} reports byte-identical "
+      "with the run forced off")
+EOF
+
 echo "== shard smoke (shards=1 identity + shards=2 cross-path replay) =="
 python - <<'EOF'
 import json
